@@ -27,6 +27,7 @@ integer address for the wrappers' interned fast path.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -101,6 +102,8 @@ class PerfHashTable:
         self._nbytes: List[int] = [0] * capacity
         #: signature → extended column index (>= capacity).
         self._overflow: Dict[EventSignature, int] = {}
+        #: occupied slot indexes, ascending: row walks skip the holes.
+        self._occupied: List[int] = []
         self.entries = 0
         self.collisions = 0
         self.overflowed = 0
@@ -196,6 +199,7 @@ class PerfHashTable:
             self._sigs[idx] = sig
             self._nbytes[idx] = sig.nbytes or 0
             self.entries += 1
+            insort(self._occupied, idx)
         return idx
 
     def index_of(self, sig: EventSignature) -> Optional[int]:
@@ -298,10 +302,8 @@ class PerfHashTable:
         sigs = self._sigs
         count, total = self._count, self._total
         tmin, tmax = self._tmin, self._tmax
-        for idx in range(self.capacity):
-            sig = sigs[idx]
-            if sig is not None:
-                yield sig, count[idx], total[idx], tmin[idx], tmax[idx]
+        for idx in self._occupied:
+            yield sigs[idx], count[idx], total[idx], tmin[idx], tmax[idx]
         for sig, idx in self._overflow.items():
             yield sig, count[idx], total[idx], tmin[idx], tmax[idx]
 
@@ -387,14 +389,11 @@ class PerfHashTable:
     # -- pickling ------------------------------------------------------------
 
     def _canonical_rows(self):
-        slot_rows = []
-        for idx in range(self.capacity):
-            sig = self._sigs[idx]
-            if sig is not None:
-                slot_rows.append(
-                    (idx, sig, self._count[idx], self._total[idx],
-                     self._tmin[idx], self._tmax[idx])
-                )
+        slot_rows = [
+            (idx, self._sigs[idx], self._count[idx], self._total[idx],
+             self._tmin[idx], self._tmax[idx])
+            for idx in self._occupied
+        ]
         overflow_rows = [
             (sig, self._count[idx], self._total[idx],
              self._tmin[idx], self._tmax[idx])
@@ -418,6 +417,7 @@ class PerfHashTable:
             self._tmax[idx] = tmax
             self._nbytes[idx] = sig.nbytes or 0
             self.entries += 1
+        self._occupied = sorted(row[0] for row in slot_rows)
         for sig, count, total, tmin, tmax in overflow_rows:
             idx = self._append_overflow(sig)
             self._count[idx] = count
@@ -447,6 +447,8 @@ class ObjectPerfHashTable:
             [None] * capacity
         )
         self._overflow: Dict[EventSignature, CallStats] = {}
+        #: occupied slot indexes, ascending: row walks skip the holes.
+        self._occupied: List[int] = []
         self.entries = 0
         self.collisions = 0
         self.overflowed = 0
@@ -501,6 +503,7 @@ class ObjectPerfHashTable:
         stats = CallStats()
         self._slots[idx] = (sig, stats)
         self.entries += 1
+        insort(self._occupied, idx)
         return stats
 
     def locate(self, sig: EventSignature) -> Optional[int]:
@@ -553,17 +556,17 @@ class ObjectPerfHashTable:
         return self._overflow.get(sig)
 
     def iter_rows(self) -> Iterator[Tuple[EventSignature, int, float, float, float]]:
-        for slot in self._slots:
-            if slot is not None:
-                sig, stats = slot
-                yield sig, stats.count, stats.total, stats.tmin, stats.tmax
+        slots = self._slots
+        for idx in self._occupied:
+            sig, stats = slots[idx]
+            yield sig, stats.count, stats.total, stats.tmin, stats.tmax
         for sig, stats in self._overflow.items():
             yield sig, stats.count, stats.total, stats.tmin, stats.tmax
 
     def items(self) -> Iterator[Tuple[EventSignature, CallStats]]:
-        for slot in self._slots:
-            if slot is not None:
-                yield slot
+        slots = self._slots
+        for idx in self._occupied:
+            yield slots[idx]
         yield from self._overflow.items()
 
     def __len__(self) -> int:
@@ -590,12 +593,11 @@ class ObjectPerfHashTable:
 
     def _canonical_rows(self):
         slot_rows = []
-        for idx, slot in enumerate(self._slots):
-            if slot is not None:
-                sig, stats = slot
-                slot_rows.append(
-                    (idx, sig, stats.count, stats.total, stats.tmin, stats.tmax)
-                )
+        for idx in self._occupied:
+            sig, stats = self._slots[idx]
+            slot_rows.append(
+                (idx, sig, stats.count, stats.total, stats.tmin, stats.tmax)
+            )
         overflow_rows = [
             (sig, stats.count, stats.total, stats.tmin, stats.tmax)
             for sig, stats in self._overflow.items()
@@ -608,6 +610,7 @@ class ObjectPerfHashTable:
         for idx, sig, count, total, tmin, tmax in slot_rows:
             self._slots[idx] = (sig, CallStats(count, total, tmin, tmax))
             self.entries += 1
+        self._occupied = sorted(row[0] for row in slot_rows)
         for sig, count, total, tmin, tmax in overflow_rows:
             self._overflow[sig] = CallStats(count, total, tmin, tmax)
         self.overflowed = len(overflow_rows)

@@ -209,7 +209,11 @@ class DeviceMemory:
             alloc.backing[off:end] = data
 
     def read(self, ptr: DevicePtr, nbytes: int) -> Optional[bytes]:
-        """Fetch bytes from ``ptr``; None for unbacked allocations."""
+        """Fetch bytes from ``ptr``; None for unbacked allocations.
+
+        Bytes past the backing's written extent (the allocation's
+        alignment slack) read as zeros without growing the backing.
+        """
         alloc = self.find(ptr)
         off = ptr.address - alloc.base
         if off + nbytes > alloc.size:
@@ -217,12 +221,17 @@ class DeviceMemory:
                 cudaError_t.cudaErrorInvalidValue,
                 f"read of {nbytes} B overruns allocation of {alloc.size} B",
             )
-        if alloc.backing is None:
+        backing = alloc.backing
+        if backing is None:
             return None
         end = off + nbytes
-        if end > len(alloc.backing):
-            alloc.backing.extend(b"\0" * (end - len(alloc.backing)))
-        return bytes(alloc.backing[off:end])
+        have = len(backing)
+        # one copy out of the backing; the views are released before
+        # returning so later writes may still resize it
+        with memoryview(backing) as view, view[off:min(end, have)] as part:
+            if end <= have:
+                return part.tobytes()
+            return b"".join((part, bytes(end - max(off, have))))
 
     def leaked(self, context_id: int) -> List[Allocation]:
         """Allocations still live for a context (leak check helper)."""

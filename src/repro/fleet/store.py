@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 from repro.fleet.protocol import END_KINDS, START_KINDS, record_stamp
 from repro.fleet.registry import DEFAULT_STALE_AFTER, FleetRegistry
 from repro.fleet.rollup import RollupSet, StatWindow
-from repro.telemetry.sinks import escape_label_value
+from repro.telemetry.sinks import escape_label_value, format_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fleet.history import HistoryLog
@@ -589,9 +589,9 @@ class FleetStore:
                         f'{k}="{escape_label_value(str(v))}"'
                         for k, v in sorted(labels.items())
                     )
-                    lines.append(f"{name}{{{lbl}}} {value:.9g}")
+                    lines.append(f"{name}{{{lbl}}} {format_value(value)}")
                 else:
-                    lines.append(f"{name} {value:.9g}")
+                    lines.append(f"{name} {format_value(value)}")
 
             counts = self.registry.counts(now)
             family("fleet_jobs")

@@ -7,7 +7,8 @@ interposition wrappers already count every monitored call in the slab
 columns, so the counters re-roll the table's per-signature deltas into
 the sampler-facing totals lazily, at read time, memoized on the
 table's version stamp.  Leaving telemetry on therefore adds **zero**
-work to the wrapper hot path.
+work to the wrapper hot path.  The sampler reads a tick's totals
+through :meth:`RankCounters.totals`, so it rolls once per tick.
 
 Quantities the table cannot see keep their explicit increments: error
 counts (:meth:`on_error`), kernel/host-idle time (credited by the KTT
@@ -130,6 +131,25 @@ class RankCounters:
                         copies[direction] += nbytes * dcount
         self._events += events
         self._rolled_version = version
+
+    def totals(self) -> Tuple[float, ...]:
+        """The sampler's per-tick totals, from a single roll.
+
+        ``(events, errors, MPI time, kernel time, host-idle time, H2D
+        bytes, D2H bytes, launches)``, the counts converted to float.
+        """
+        self._roll()
+        copies = self._copy_bytes
+        return (
+            float(self._events),
+            float(self.errors),
+            self._domain_time.get("MPI", 0.0),
+            self.kernel_time,
+            self.host_idle_time,
+            float(copies["H2D"]),
+            float(copies["D2H"]),
+            float(self.launches),
+        )
 
     # -- derived totals (memoized on the table's version stamp) --------
 

@@ -16,6 +16,15 @@ the sinks, and the sampling loop.  Every ``interval`` seconds of
 
 Monotonic totals become rates by delta against the previous tick.
 
+Ticks run off a *sample plan* (:class:`_SamplePlan`), built on the
+first tick after any registration: the series of the tick in order,
+each with its canonical labels and the store ring it appends to; the
+rank counters, hash tables and GPUs to read; the value offsets the node
+rollups average; and the previous totals in flat slots.  A tick is then
+one pass of rate arithmetic plus appends — no label dicts, sorting or
+store lookups per point.  Source objects are resolved when the plan is
+built, so register a rank once its ``Ipm`` is fully constructed.
+
 Scheduling protocol: the tick reschedules itself only while (a) the
 ``keep_running`` predicate holds (the job runner passes "any rank
 still alive") and (b) the event heap holds at least one other event.
@@ -26,10 +35,12 @@ spinning forever on a deadlocked job.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.series import SamplePoint, TimeSeriesStore
+from repro.telemetry.series import LabelSet, SamplePoint, TimeSeriesStore
 from repro.telemetry.sinks import TelemetrySink, make_sinks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +54,69 @@ TICK_PRIORITY = 1_000_000
 
 #: JSONL/OpenMetrics metadata schema tag.
 META_SCHEMA = "ipm-repro/telemetry/v1"
+
+#: per-rank series of a rank with telemetry counters, in tick order.
+_RANK_SERIES = (
+    "ipm_events_per_sec",
+    "ipm_errors_per_sec",
+    "ipm_errors_total",
+    "ipm_mpi_fraction",
+    "ipm_gpu_busy_fraction",
+    "ipm_host_idle_fraction",
+    "ipm_copy_h2d_bytes_per_sec",
+    "ipm_copy_d2h_bytes_per_sec",
+    "ipm_launches_per_sec",
+)
+#: offsets of the series the node rollups average within _RANK_SERIES.
+_RANK_MPI = _RANK_SERIES.index("ipm_mpi_fraction")
+_RANK_IDLE = _RANK_SERIES.index("ipm_host_idle_fraction")
+#: hash-table series, emitted for every rank.
+_TABLE_SERIES = ("ipm_hash_occupancy", "ipm_hash_collisions_total")
+_GPU_SERIES = (
+    "gpu_busy_fraction",
+    "gpu_kernels_per_sec",
+    "gpu_copy_h2d_bytes_per_sec",
+    "gpu_copy_d2h_bytes_per_sec",
+)
+#: node rollups over member ranks (after node_gpu_busy_fraction).
+_NODE_RANK_SERIES = (
+    "node_events_per_sec",
+    "node_mpi_fraction",
+    "node_host_idle_fraction",
+)
+#: previous-total keys per source, in :meth:`RankCounters.totals` order
+#: for ranks and the order the tick reads a GPU's totals.
+_RANK_PREV = (
+    "rk.ev", "rk.err", "rk.mpi", "rk.kern", "rk.idle", "rk.h2d", "rk.d2h",
+    "rk.lnch",
+)
+_GPU_PREV = ("gpu.busy", "gpu.kern", "gpu.h2d", "gpu.d2h")
+
+
+class _SamplePlan:
+    """What one tick reads and writes, resolved once per registration set.
+
+    ``keys``/``appends`` are the series in tick order: (name, canonical
+    labels) and the ring append (:meth:`TimeSeries.appender`) of each.
+    ``ranks`` is ``(counters or None, hash table)`` per registration,
+    ``devices`` the GPUs by id, and ``nodes`` per hostname the value
+    offsets its rollups average: GPU busy, then the member ranks'
+    events, MPI and host-idle series.  ``prev`` holds the previous
+    totals flat, keyed by ``prev_keys``.
+    """
+
+    __slots__ = (
+        "keys", "appends", "ranks", "devices", "nodes", "prev", "prev_keys",
+    )
+
+    def __init__(self) -> None:
+        self.keys: List[Tuple[str, LabelSet]] = []
+        self.appends: List[Callable[[Tuple[float, float]], None]] = []
+        self.ranks: List[tuple] = []
+        self.devices: List[Any] = []
+        self.nodes: List[tuple] = []
+        self.prev: List[float] = []
+        self.prev_keys: List[tuple] = []
 
 
 class TelemetryHub:
@@ -70,7 +144,9 @@ class TelemetryHub:
         self._devices: Dict[int, Any] = {}
         #: hostname -> node, for the rollups.
         self._nodes: Dict[str, Any] = {}
+        #: previous totals of sources dropped with an old plan.
         self._prev: Dict[tuple, float] = {}
+        self._plan: Optional[_SamplePlan] = None
         self._last_t: Optional[float] = None
         self._keep_running: Optional[Callable[[], bool]] = None
         self._opened = False
@@ -83,11 +159,15 @@ class TelemetryHub:
         self, rank: int, ipm: "Ipm", node: Optional["Node"] = None
     ) -> None:
         """Register one monitored rank (and its node's GPUs, if given)."""
+        if any(r == rank for r, _ipm, _node in self._ranks):
+            raise ValueError(f"rank {rank} is already registered")
+        self._invalidate()
         self._ranks.append((rank, ipm, node))
         if node is not None:
             self.register_node(node)
 
     def register_node(self, node: "Node") -> None:
+        self._invalidate()
         self._nodes.setdefault(node.hostname, node)
         for dev in node.devices:
             self._devices.setdefault(dev.device_id, dev)
@@ -143,8 +223,6 @@ class TelemetryHub:
         dt = t - self._last_t
         self._last_t = t
         points = self._collect(t, dt)
-        for p in points:
-            self.store.record(p.t, p.name, p.labels, p.value)
         for sink in self.sinks:
             sink.emit(t, points)
         self.ticks += 1
@@ -163,142 +241,125 @@ class TelemetryHub:
 
     # -- collection -----------------------------------------------------
 
-    def _rate(self, key: tuple, current: float, dt: float) -> float:
-        """Turn a monotonic total into a per-second rate via deltas."""
-        prev = self._prev.get(key, 0.0)
-        self._prev[key] = current
-        return (current - prev) / dt if dt > 0 else 0.0
+    def _invalidate(self) -> None:
+        """Drop the sample plan; the next tick rebuilds it.
 
-    def _collect(self, t: float, dt: float) -> List[SamplePoint]:
-        points: List[SamplePoint] = []
+        The plan's previous totals are parked in :attr:`_prev` (keyed
+        on source) so the rebuilt plan resumes every existing rate.
+        """
+        plan = self._plan
+        if plan is not None:
+            self._prev.update(zip(plan.prev_keys, plan.prev))
+            self._plan = None
 
-        def add(name: str, labels: Dict[str, object], value: float) -> None:
-            points.append(
-                SamplePoint(
-                    t,
-                    name,
-                    tuple(sorted((k, str(v)) for k, v in labels.items())),
-                    float(value),
-                )
-            )
-
-        # per-rank series -------------------------------------------------
-        rank_rates: Dict[int, Dict[str, float]] = {}
-        for rank, ipm, _node in self._ranks:
-            lbl = {"rank": rank}
-            rates: Dict[str, float] = {}
+    def _build_plan(self) -> "_SamplePlan":
+        plan = _SamplePlan()
+        keys = plan.keys
+        prev_keys = plan.prev_keys
+        # values-list offset of each rank's first series, per hostname
+        members: Dict[str, List[int]] = {}
+        for rank, ipm, node in self._ranks:
+            lbl = (("rank", str(rank)),)
             tele = ipm.tele
             if tele is not None:
-                rates["events_per_sec"] = self._rate(
-                    ("rk.ev", rank), float(tele.events), dt
-                )
-                rates["mpi_fraction"] = self._rate(
-                    ("rk.mpi", rank), tele.domain_time.get("MPI", 0.0), dt
-                )
-                rates["gpu_busy_fraction"] = self._rate(
-                    ("rk.kern", rank), tele.kernel_time, dt
-                )
-                rates["host_idle_fraction"] = self._rate(
-                    ("rk.idle", rank), tele.host_idle_time, dt
-                )
-                add("ipm_events_per_sec", lbl, rates["events_per_sec"])
-                add(
-                    "ipm_errors_per_sec",
-                    lbl,
-                    self._rate(("rk.err", rank), float(tele.errors), dt),
-                )
-                add("ipm_errors_total", lbl, float(tele.errors))
-                add("ipm_mpi_fraction", lbl, rates["mpi_fraction"])
-                add("ipm_gpu_busy_fraction", lbl, rates["gpu_busy_fraction"])
-                add("ipm_host_idle_fraction", lbl, rates["host_idle_fraction"])
-                add(
-                    "ipm_copy_h2d_bytes_per_sec",
-                    lbl,
-                    self._rate(("rk.h2d", rank), float(tele.copy_bytes["H2D"]), dt),
-                )
-                add(
-                    "ipm_copy_d2h_bytes_per_sec",
-                    lbl,
-                    self._rate(("rk.d2h", rank), float(tele.copy_bytes["D2H"]), dt),
-                )
-                add(
-                    "ipm_launches_per_sec",
-                    lbl,
-                    self._rate(("rk.lnch", rank), float(tele.launches), dt),
-                )
-            table = ipm.table
-            add("ipm_hash_occupancy", lbl, table.entries / table.capacity)
-            add("ipm_hash_collisions_total", lbl, float(table.collisions))
-            rank_rates[rank] = rates
-
-        # per-GPU series --------------------------------------------------
-        gpu_busy: Dict[int, float] = {}
+                if node is not None:
+                    members.setdefault(node.hostname, []).append(len(keys))
+                keys.extend((name, lbl) for name in _RANK_SERIES)
+                prev_keys.extend((kind, rank) for kind in _RANK_PREV)
+            keys.extend((name, lbl) for name in _TABLE_SERIES)
+            plan.ranks.append((tele, ipm.table))
+        gpu_offset: Dict[int, int] = {}
         for dev_id in sorted(self._devices):
-            dev = self._devices[dev_id]
-            lbl = {"gpu": dev_id}
-            busy = self._rate(
-                ("gpu.busy", dev_id), dev.compute.busy_time_at(t), dt
-            )
-            gpu_busy[dev_id] = busy
-            add("gpu_busy_fraction", lbl, busy)
-            add(
-                "gpu_kernels_per_sec",
-                lbl,
-                self._rate(
-                    ("gpu.kern", dev_id), float(dev.compute.kernels_executed), dt
-                ),
-            )
-            add(
-                "gpu_copy_h2d_bytes_per_sec",
-                lbl,
-                self._rate(
-                    ("gpu.h2d", dev_id), float(dev.copy_bytes.get("h2d", 0)), dt
-                ),
-            )
-            add(
-                "gpu_copy_d2h_bytes_per_sec",
-                lbl,
-                self._rate(
-                    ("gpu.d2h", dev_id), float(dev.copy_bytes.get("d2h", 0)), dt
-                ),
-            )
-
-        # per-node rollups -------------------------------------------------
+            lbl = (("gpu", str(dev_id)),)
+            gpu_offset[dev_id] = len(keys)
+            keys.extend((name, lbl) for name in _GPU_SERIES)
+            prev_keys.extend((kind, dev_id) for kind in _GPU_PREV)
+            plan.devices.append(self._devices[dev_id])
         for hostname in sorted(self._nodes):
+            lbl = (("node", hostname),)
             node = self._nodes[hostname]
-            lbl = {"node": hostname}
-            node_devs = [d.device_id for d in node.devices]
-            if node_devs:
-                add(
-                    "node_gpu_busy_fraction",
-                    lbl,
-                    sum(gpu_busy.get(d, 0.0) for d in node_devs) / len(node_devs),
-                )
-            node_ranks = [
-                rank
-                for rank, _ipm, n in self._ranks
-                if n is not None and n.hostname == hostname
-            ]
-            member_rates = [rank_rates[r] for r in node_ranks if rank_rates.get(r)]
-            if member_rates:
-                add(
-                    "node_events_per_sec",
-                    lbl,
-                    sum(r["events_per_sec"] for r in member_rates),
-                )
-                add(
-                    "node_mpi_fraction",
-                    lbl,
-                    sum(r["mpi_fraction"] for r in member_rates)
-                    / len(member_rates),
-                )
-                add(
-                    "node_host_idle_fraction",
-                    lbl,
-                    sum(r["host_idle_fraction"] for r in member_rates)
-                    / len(member_rates),
-                )
-        return points
+            busy = tuple(gpu_offset[d.device_id] for d in node.devices)
+            if busy:
+                keys.append(("node_gpu_busy_fraction", lbl))
+            ranks = tuple(members.get(hostname, ()))
+            if ranks:
+                keys.extend((name, lbl) for name in _NODE_RANK_SERIES)
+            plan.nodes.append((
+                busy,
+                ranks,
+                tuple(o + _RANK_MPI for o in ranks),
+                tuple(o + _RANK_IDLE for o in ranks),
+            ))
+        plan.appends = [
+            self.store.series_for(n, l).appender() for n, l in keys
+        ]
+        plan.prev = [self._prev.get(k, 0.0) for k in prev_keys]
+        return plan
+
+    def _collect(self, t: float, dt: float) -> List[SamplePoint]:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._build_plan()
+
+        # every monotonic total, in prev-slot order, then all rates at once
+        cur: List[float] = []
+        for tele, _table in plan.ranks:
+            if tele is not None:
+                cur.extend(tele.totals())
+        for dev in plan.devices:
+            compute = dev.compute
+            copies = dev.copy_bytes
+            cur.extend((
+                compute.busy_time_at(t),
+                float(compute.kernels_executed),
+                float(copies.get("h2d", 0)),
+                float(copies.get("d2h", 0)),
+            ))
+        if dt > 0:
+            rates = [(c - p) / dt for c, p in zip(cur, plan.prev)]
+        else:
+            rates = [0.0] * len(cur)
+        plan.prev = cur
+
+        # values in series order (see _RANK_SERIES etc.)
+        values: List[float] = []
+        push = values.extend
+        k = 0
+        for tele, table in plan.ranks:
+            if tele is not None:
+                push((
+                    rates[k],  # events
+                    rates[k + 1],  # errors
+                    cur[k + 1],  # errors total
+                    rates[k + 2],  # MPI time
+                    rates[k + 3],  # kernel time
+                    rates[k + 4],  # host-idle time
+                    rates[k + 5],  # H2D bytes
+                    rates[k + 6],  # D2H bytes
+                    rates[k + 7],  # launches
+                ))
+                k += len(_RANK_PREV)
+            push((table.entries / table.capacity, float(table.collisions)))
+        push(rates[k:])  # per GPU: busy, kernels, H2D, D2H
+        get = values.__getitem__
+        for busy, ranks, mpi, idle in plan.nodes:
+            if busy:
+                values.append(sum(map(get, busy)) / len(busy))
+            if ranks:
+                n = len(ranks)
+                push((
+                    sum(map(get, ranks)),
+                    sum(map(get, mpi)) / n,
+                    sum(map(get, idle)) / n,
+                ))
+
+        for append, value in zip(plan.appends, values):
+            append((t, value))
+        new = tuple.__new__
+        return [
+            new(SamplePoint, (t, name, labels, value))
+            for (name, labels), value in zip(plan.keys, values)
+        ]
 
     # -- convenience ----------------------------------------------------
 

@@ -10,8 +10,9 @@ Chrome-trace exporter read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 #: canonical label form: sorted tuple of (key, value) pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -24,9 +25,12 @@ def canon_labels(labels: Optional[Mapping[str, object]]) -> LabelSet:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sampled value, as handed to sinks."""
+class SamplePoint(NamedTuple):
+    """One sampled value, as handed to sinks.
+
+    A named tuple so the sampler can build one per point with a single
+    ``tuple.__new__`` call; treat it as immutable.
+    """
 
     t: float
     name: str
@@ -51,6 +55,14 @@ class TimeSeries:
 
     def append(self, t: float, value: float) -> None:
         self._points.append((t, value))
+
+    def appender(self) -> Callable[[Tuple[float, float]], None]:
+        """The ring's own ``append``, taking one ``(t, value)`` tuple.
+
+        For writers that resolve a series once and append to it every
+        tick (the sampler's plan): it skips a method call per point.
+        """
+        return self._points.append
 
     @property
     def points(self) -> List[Tuple[float, float]]:
@@ -91,13 +103,21 @@ class TimeSeriesStore:
     ) -> SamplePoint:
         """Append one point, creating the series on first sight."""
         lbl = canon_labels(labels) if not isinstance(labels, tuple) else labels
-        key = (name, lbl)
+        self.series_for(name, lbl).append(t, value)
+        return SamplePoint(t, name, lbl, value)
+
+    def series_for(self, name: str, labels: LabelSet) -> TimeSeries:
+        """The series of ``(name, labels)``, created on first sight.
+
+        ``labels`` must already be canonical (see :func:`canon_labels`);
+        the sampler resolves its handles through here once per plan.
+        """
+        key = (name, labels)
         series = self._series.get(key)
         if series is None:
-            series = TimeSeries(name, lbl, self.retention)
+            series = TimeSeries(name, labels, self.retention)
             self._series[key] = series
-        series.append(t, value)
-        return SamplePoint(t, name, lbl, value)
+        return series
 
     def get(self, name: str, **labels: object) -> Optional[TimeSeries]:
         return self._series.get((name, canon_labels(labels)))

@@ -65,6 +65,22 @@ def escape_label_value(value: str) -> str:
     )
 
 
+#: Python's spellings of the non-finite floats -> OpenMetrics' spellings.
+_NON_FINITE = {"nan": "NaN", "inf": "+Inf", "-inf": "-Inf"}
+
+
+def format_value(value: float) -> str:
+    """One sample value as OpenMetrics text.
+
+    Finite values print with 9 significant digits; NaN and the
+    infinities use the spec's ``NaN``, ``+Inf`` and ``-Inf`` (Python's
+    ``nan``/``inf`` would make a Prometheus scrape reject the whole
+    body).
+    """
+    text = f"{value:.9g}"
+    return _NON_FINITE.get(text, text)
+
+
 class TelemetrySink(Protocol):
     """What the sampler requires of a sink."""
 
@@ -215,9 +231,9 @@ class OpenMetricsSink:
                 lbl = ",".join(
                     f'{k}="{escape_label_value(v)}"' for k, v in labels
                 )
-                lines.append(f"{name}{{{lbl}}} {value:.9g} {t:.6f}")
+                lines.append(f"{name}{{{lbl}}} {format_value(value)} {t:.6f}")
             else:
-                lines.append(f"{name} {value:.9g} {t:.6f}")
+                lines.append(f"{name} {format_value(value)} {t:.6f}")
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
 

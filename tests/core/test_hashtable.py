@@ -1,10 +1,12 @@
 """Performance data hash table: unit + property tests."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashtable import CallStats, PerfHashTable
+from repro.core.hashtable import CallStats, ObjectPerfHashTable, PerfHashTable
 from repro.core.sig import EventSignature, cuda_exec_name
 
 
@@ -266,3 +268,67 @@ def test_table_matches_reference_dict(events, capacity):
     # merged-by-name view is consistent too
     by_name = table.by_name()
     assert sum(s.count for s in by_name.values()) == len(events)
+
+
+_ROW_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["update", "update", "load"]),
+        st.integers(min_value=0, max_value=23),
+        st.sampled_from([None, 8, 4096]),
+        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    ),
+    max_size=120,
+)
+
+
+def _drive(table, ops):
+    for op, i, nbytes, value in ops:
+        sig = EventSignature(f"call{i}", nbytes=nbytes)
+        if op == "update":
+            table.update(sig, value)
+        else:
+            table.load(sig, i, value, value, value)
+
+
+def _assert_slot_order(table, rows):
+    """Slot residents in ascending slot order, then the overflow area."""
+    where = [table.locate(sig) for sig, *_ in rows]
+    in_slots = [w for w in where if w != table.OVERFLOW]
+    assert in_slots == sorted(in_slots)
+    assert where[:len(in_slots)] == in_slots
+    assert len(rows) == len(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ROW_OPS, more=_ROW_OPS, capacity=st.sampled_from([3, 8, 31, 8192]))
+def test_iter_rows_parity_across_backends_and_restore(ops, more, capacity):
+    """Both backends yield identical rows in identical order, through
+    colliding inserts, overflow, and a pickle round trip into either
+    backend (``_restore``) followed by further inserts."""
+    slab, obj = PerfHashTable(capacity), ObjectPerfHashTable(capacity)
+    for table in (slab, obj):
+        _drive(table, ops)
+    rows = list(slab.iter_rows())
+    assert rows == list(obj.iter_rows())
+    _assert_slot_order(slab, rows)
+    _assert_slot_order(obj, rows)
+    assert [(s, c.count) for s, c in slab.items()] == [
+        (s, c.count) for s, c in obj.items()
+    ]
+
+    blob = pickle.dumps(slab)
+    assert blob == pickle.dumps(obj)
+    _rebuild, state = pickle.loads(pickle.dumps(slab.__reduce__()))
+    restored = []
+    for backend in (PerfHashTable, ObjectPerfHashTable):
+        table = backend(capacity)
+        table._restore(*state[1:])
+        assert list(table.iter_rows()) == rows
+        assert pickle.dumps(table) == blob
+        restored.append(table)
+    for table in [slab, obj] + restored:
+        _drive(table, more)
+    rows = list(slab.iter_rows())
+    for table in [obj] + restored:
+        assert list(table.iter_rows()) == rows
+        _assert_slot_order(table, rows)

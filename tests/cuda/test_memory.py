@@ -101,6 +101,28 @@ class TestDataAccess:
         assert m.read(p + 8, 2) == b"xy"
         assert m.read(p, 10)[8:10] == b"xy"
 
+    def test_read_returns_an_immutable_copy(self):
+        m = mem()
+        p = m.malloc(64, backed=True)
+        m.write(p, bytes(range(64)))
+        data = m.read(p + 4, 8)
+        assert type(data) is bytes and data == bytes(range(4, 12))
+        m.write(p + 4, b"\xff" * 8)  # the backing may change (and resize)
+        assert data == bytes(range(4, 12))
+
+    def test_read_past_written_extent_zero_pads_without_growing(self):
+        m = mem()
+        p = m.malloc(100, backed=True)  # 100 B backing, 256 B allocation
+        m.write(p + 96, b"abcd")
+        alloc = m.find(p)
+        assert len(alloc.backing) == 100
+        assert m.read(p + 96, 10) == b"abcd" + bytes(6)  # straddles the end
+        assert m.read(p + 120, 16) == bytes(16)  # wholly past it
+        assert m.read(p, 256) == bytes(96) + b"abcd" + bytes(156)
+        assert len(alloc.backing) == 100
+        m.write(p + 250, b"z")  # writes still grow it
+        assert m.read(p + 248, 8) == bytes(2) + b"z" + bytes(5)
+
     def test_unbacked_read_returns_none(self):
         m = mem()
         p = m.malloc(64, backed=False)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.fleet.protocol import decode_line
 from repro.fleet.store import FleetStore
 
 
@@ -181,6 +182,25 @@ class TestOpenMetrics:
         store.ingest({"kind": "job_start", "job": 'we"ird\\job'})
         body = store.openmetrics()
         assert 'job_up{job="we\\"ird\\\\job"} 1' in body
+
+    def test_non_finite_wire_values_render_per_spec(self, store):
+        # publishers may send JSON NaN/Infinity: json.loads accepts them
+        store.ingest({"kind": "job_start", "job": "j1"})
+        record = decode_line(
+            '{"kind": "sample", "job": "j1", "t": 0.0, "points": ['
+            '{"name": "a", "labels": {}, "value": NaN}, '
+            '{"name": "b", "labels": {}, "value": Infinity}, '
+            '{"name": "c", "labels": {}, "value": -Infinity}]}'
+        )
+        assert store.ingest(record)
+        lines = store.openmetrics().splitlines()
+        assert 'job_rollup{agg="last",job="j1",metric="a"} NaN' in lines
+        assert 'job_rollup{agg="max",job="j1",metric="b"} +Inf' in lines
+        assert 'fleet_rollup{agg="min",metric="c"} -Inf' in lines
+        assert not any(
+            line.split()[-1] in ("nan", "inf", "-inf")
+            for line in lines if not line.startswith("#")
+        )
 
     def test_rollup_name_cap_is_exposed(self, clock):
         store = FleetStore(max_metrics=1, clock=clock)

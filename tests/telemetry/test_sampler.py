@@ -1,5 +1,7 @@
 """The virtual-time sampler: rates, rollups, and loop termination."""
 
+import pytest
+
 from repro.cluster.node import Node
 from repro.core.ipm import Ipm, IpmConfig
 from repro.simt.simulator import Simulator
@@ -95,3 +97,67 @@ def test_sinks_receive_open_metadata():
     assert mem.meta["command"] == "./a.out"
     assert mem.meta["schema"].startswith("ipm-repro/telemetry/")
     assert mem.meta["interval"] == hub.config.interval
+
+
+def _ipm(sim, rank, telemetry=True):
+    tcfg = TelemetryConfig(enabled=telemetry)
+    return Ipm(
+        sim,
+        rank=rank,
+        config=IpmConfig(host_idle=False, telemetry=tcfg),
+        blocking_calls=set(),
+    )
+
+
+def test_register_rank_after_ticks_rebuilds_the_plan():
+    sim, ipm0, hub = _make()
+    node = Node(sim, index=0)
+    hub.register_rank(0, ipm0, node)
+    hub.sample_now(0.0)
+    ipm0.tele.events = 100
+    points = hub.sample_now(1.0)
+    assert {p.labels for p in points if p.name == "ipm_events_per_sec"} == {
+        (("rank", "0"),)
+    }
+
+    ipm1 = _ipm(sim, 1)
+    hub.register_rank(1, ipm1, node)
+    ipm0.tele.events = 150
+    ipm1.tele.events = 30
+    ipm1.tele.domain_time["MPI"] = 0.5
+    points = hub.sample_now(2.0)
+    st = hub.store
+    # the new rank's series appear on the very next tick ...
+    assert st.latest("ipm_events_per_sec", rank=1) == 30.0
+    assert st.latest("ipm_hash_occupancy", rank=1) is not None
+    # ... the existing rank's rate continues across the rebuild ...
+    assert st.latest("ipm_events_per_sec", rank=0) == 50.0
+    assert len(st.get("ipm_events_per_sec", rank=0)) == 3
+    # ... and the node rollups include the new member
+    host = node.hostname
+    assert st.latest("node_events_per_sec", node=host) == 80.0
+    assert st.latest("node_mpi_fraction", node=host) == 0.25
+    assert sum(p.name == "node_events_per_sec" for p in points) == 1
+
+
+def test_rank_without_counters_emits_only_table_series():
+    sim, ipm0, hub = _make()
+    node = Node(sim, index=0)
+    bare = _ipm(sim, 1, telemetry=False)
+    assert bare.tele is None
+    hub.register_rank(0, ipm0, node)
+    hub.register_rank(1, bare, node)
+    hub.sample_now(0.0)
+    ipm0.tele.events = 10
+    points = hub.sample_now(1.0)
+    bare_names = sorted(p.name for p in points if ("rank", "1") in p.labels)
+    assert bare_names == ["ipm_hash_collisions_total", "ipm_hash_occupancy"]
+    # the node rollups average over the counted rank alone
+    assert hub.store.latest("node_events_per_sec", node=node.hostname) == 10.0
+
+
+def test_registering_a_rank_twice_is_refused():
+    sim, ipm, hub = _make()
+    hub.register_rank(0, ipm)
+    with pytest.raises(ValueError):
+        hub.register_rank(0, _ipm(sim, 0))

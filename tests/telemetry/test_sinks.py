@@ -13,6 +13,7 @@ from repro.telemetry.sinks import (
     MemorySink,
     OpenMetricsSink,
     escape_label_value,
+    format_value,
     make_sinks,
 )
 
@@ -120,6 +121,37 @@ def test_openmetrics_format_pin(tmp_path):
     assert "# HELP gpu_busy_fraction " in text
     assert 'host_idle_fraction{host="we\\"ird\\\\h\\nost"} 0.5' in text
     sink.close()
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.25, "0.25"),
+    (123.0, "123"),
+    (7, "7"),
+    (1.0 / 3.0, "0.333333333"),
+    (1e21, "1e+21"),
+    (float("nan"), "NaN"),
+    (float("inf"), "+Inf"),
+    (float("-inf"), "-Inf"),
+])
+def test_format_value_uses_openmetrics_spellings(value, text):
+    assert format_value(value) == text
+
+
+def test_openmetrics_exposition_of_non_finite_values():
+    sink = OpenMetricsSink()
+    sink.open({})
+    sink.emit(1.0, [
+        _pt(1.0, "a", float("nan"), rank=0),
+        _pt(1.0, "b", float("inf")),
+        _pt(1.0, "c", float("-inf"), gpu=1),
+    ])
+    lines = sink.expose().splitlines()
+    assert 'a{rank="0"} NaN 1.000000' in lines
+    assert "b +Inf 1.000000" in lines
+    assert 'c{gpu="1"} -Inf 1.000000' in lines
+    assert not any(
+        word in ("nan", "inf", "-inf") for line in lines for word in line.split()
+    )
 
 
 def test_make_sinks_from_config(tmp_path):
