@@ -120,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_virtual_time=args.max_virtual_time,
         )
     cache = ResultCache(args.cache) if args.cache else None
-    runner = SweepRunner(
+    with SweepRunner(
         workers=args.workers,
         cache=cache,
         mode=args.mode,
@@ -131,8 +131,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         fleet=args.fleet,
         fleet_spool=args.fleet_spool,
-    )
-    report = runner.run(specs)
+    ) as runner:
+        report = runner.run(specs)
     summary = report.summary()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -674,10 +674,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_compact.add_argument("--retain", type=int, default=0, metavar="N",
                            help="closed raw segments to leave untouched "
                                 "(default 0: compact everything closed)")
-    p_compact.add_argument("--resolution", type=float, default=0.5,
-                           help="compacted bucket width, virtual seconds "
-                                "(default 0.5 = 10x the default store "
-                                "resolution)")
+    p_compact.add_argument("--resolution", type=float, default=0.05,
+                           help="job rollup bucket width the log was "
+                                "served with, virtual seconds — the "
+                                "same as 'fleet serve --resolution' "
+                                "(default 0.05)")
     p_compact.set_defaults(fn=_cmd_fleet_compact)
     p_drain = fleet_sub.add_parser(
         "drain",

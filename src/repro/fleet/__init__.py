@@ -9,11 +9,13 @@ existing per-job telemetry:
   format every publisher speaks;
 * :class:`~repro.fleet.sink.FleetSink` — a telemetry sink that
   streams a running job's samples and lifecycle events to the
-  aggregator over a local socket or pipe;
+  aggregator over a socket;
 * :mod:`repro.fleet.ingest` — the threaded socket listener plus a
   torn-write-tolerant JSONL tailer that replays existing sink files;
 * :mod:`repro.fleet.rollup` — bounded streaming per-metric aggregates
-  (count/sum/min/max/last over a downsampling bucket ring);
+  (count/sum/min/max/last over a downsampling bucket ring), plus the
+  one :class:`~repro.fleet.rollup.SampleWindowFolder` that
+  federation and history compaction both downsample samples with;
 * :class:`~repro.fleet.registry.FleetRegistry` — job/node liveness
   with publish-interval staleness detection;
 * :class:`~repro.fleet.store.FleetStore` — the thread-safe in-process
@@ -33,8 +35,9 @@ fleet="host:port")`` / ``python -m repro sweep --fleet`` — progress
 becomes observable live instead of only via the journal, and fleet
 mode off stays byte-identical (pinned by test).
 
-The pipeline is *resilient* end to end: publishers are
-:class:`~repro.fleet.sink.ResilientClient` streams (bounded queue or
+The pipeline is *resilient* end to end: every publisher (job sinks,
+the sweep lifecycle stream, forwarders, ``fleet drain``) is a
+:class:`~repro.fleet.sink.ResilientClient` stream (bounded queue or
 durable :class:`~repro.fleet.spool.Spool`, jittered reconnect,
 per-record sequence stamps the head audits and acks), leaves federate
 into heads via :class:`~repro.fleet.forward.FleetForwarder`, and the
@@ -51,12 +54,7 @@ from repro.fleet.registry import FleetRegistry, JobRecord, NodeRecord
 from repro.fleet.rollup import MetricRollup, RollupRing, RollupSet, StatWindow
 from repro.fleet.server import FleetHttpServer
 from repro.fleet.service import FleetAggregator
-from repro.fleet.sink import (
-    FleetSink,
-    LineClient,
-    ResilientClient,
-    drain_spool_dir,
-)
+from repro.fleet.sink import FleetSink, ResilientClient, drain_spool_dir
 from repro.fleet.spool import Spool, pending_spools
 from repro.fleet.store import FleetStore
 
@@ -74,7 +72,6 @@ __all__ = [
     "IngestServer",
     "JobRecord",
     "JsonlTailIngester",
-    "LineClient",
     "MetricRollup",
     "NodeRecord",
     "ResilientClient",

@@ -11,10 +11,10 @@ Two paths through the tee:
   ``spec_*``) pass straight through to the
   :class:`~repro.fleet.sink.ResilientClient` — the head should learn
   about state transitions at ingest latency;
-* ``sample`` / ``sample_agg`` records fold into per-(job, bucket)
-  :class:`~repro.fleet.rollup.StatWindow` buffers — the exact
-  structure history compaction uses — and a background flush emits
-  them as ``sample_agg`` windows at the *store's native resolution*.
+* ``sample`` / ``sample_agg`` records fold into a
+  :class:`~repro.fleet.rollup.SampleWindowFolder` — the same folder
+  history compaction uses — and a background flush emits them as
+  ``sample_agg`` windows at the *store's native resolution*.
   StatWindow state is exactly mergeable and bucket-aligned with the
   head's rings, so the head's per-job rollups equal a
   single-aggregator run bit-for-bit, at a fraction of the raw sample
@@ -33,8 +33,7 @@ import threading
 import time as _time
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.fleet.history import _labels_key
-from repro.fleet.rollup import StatWindow
+from repro.fleet.rollup import SampleWindowFolder
 from repro.fleet.sink import ResilientClient
 from repro.fleet.store import FleetStore
 
@@ -51,35 +50,24 @@ class FleetForwarder:
         target: Union[str, Tuple[str, int]],
         *,
         interval: float = DEFAULT_FORWARD_INTERVAL,
-        resolution: Optional[float] = None,
         spool_dir: Optional[str] = None,
         pub: Optional[str] = None,
-        label: str = "fleet forward",
-        client: Optional[ResilientClient] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
         self.store = store
         self.target = target
         self.interval = interval
-        #: bucket width for forwarded windows.  The default — the
-        #: store's own job resolution — makes the head's job series
-        #: identical to direct ingest; coarser trades fidelity for
-        #: upstream bytes.
-        self.resolution = float(resolution or store.resolution)
-        if self.resolution <= 0:
-            raise ValueError(
-                f"resolution must be positive: {self.resolution}"
-            )
-        self.client = client or ResilientClient(
+        #: forwarded windows are the store's own job buckets, so the
+        #: head's job series are identical to direct ingest.
+        self.resolution = store.resolution
+        self.client = ResilientClient(
             target,
-            label=label,
+            label="fleet forward",
             pub=pub,
             spool_dir=spool_dir,
         )
-        # job -> bucket index -> {"samples": n,
-        #                         "points": {(name, lkey): [labels, win]}}
-        self._pending: Dict[str, Dict[int, Dict[str, Any]]] = {}
+        self._folder = SampleWindowFolder(self.resolution)
         self._plock = threading.Lock()
         self.lifecycle_forwarded = 0
         self.samples_folded = 0
@@ -100,59 +88,15 @@ class FleetForwarder:
         try:
             kind = record.get("kind")
             if kind == "sample" or kind == "sample_agg":
-                self._fold(kind, record)
+                with self._plock:
+                    if self._folder.fold(record) and kind == "sample":
+                        self.samples_folded += 1
             else:
                 # the client restamps pub/seq with its own stream ids
                 self.client.send(record)
                 self.lifecycle_forwarded += 1
         except Exception:
             self.tee_errors += 1
-
-    def _fold(self, kind: str, record: Dict[str, Any]) -> None:
-        job = record.get("job")
-        points = record.get("points")
-        if not isinstance(job, str) or not isinstance(points, list):
-            return
-        t = record.get("t")
-        t = float(t) if isinstance(t, (int, float)) else 0.0
-        idx = int(t // self.resolution)
-        with self._plock:
-            buckets = self._pending.setdefault(job, {})
-            bucket = buckets.get(idx)
-            if bucket is None:
-                bucket = buckets[idx] = {"samples": 0, "points": {}}
-            if kind == "sample":
-                bucket["samples"] += 1
-                self.samples_folded += 1
-            else:
-                samples = record.get("samples")
-                bucket["samples"] += (
-                    int(samples)
-                    if isinstance(samples, (int, float))
-                    else 1
-                )
-            for point in points:
-                if not isinstance(point, dict):
-                    continue
-                name = point.get("name")
-                if not isinstance(name, str):
-                    continue
-                labels = point.get("labels")
-                key = (name, _labels_key(labels))
-                entry = bucket["points"].get(key)
-                if entry is None:
-                    entry = bucket["points"][key] = [
-                        labels if isinstance(labels, dict) else {},
-                        StatWindow(),
-                    ]
-                if kind == "sample":
-                    value = point.get("value")
-                    if isinstance(value, (int, float)):
-                        entry[1].observe(float(value), t)
-                else:
-                    window = StatWindow.from_state(point.get("agg"))
-                    if window is not None:
-                        entry[1].merge(window)
 
     # -- flushing ---------------------------------------------------------
 
@@ -164,42 +108,13 @@ class FleetForwarder:
         states merge exactly at the head (absorb is associative).
         """
         with self._plock:
-            pending, self._pending = self._pending, {}
-        sent = 0
-        for job in sorted(pending):
-            for idx in sorted(pending[job]):
-                bucket = pending[job][idx]
-                if not bucket["points"] and not bucket["samples"]:
-                    continue
-                self.client.send(
-                    {
-                        "kind": "sample_agg",
-                        "job": job,
-                        # the bucket *midpoint*: a boundary value like
-                        # 17*0.05 can floor-divide back into bucket 16
-                        # at the head (0.85 // 0.05 == 16.0), while the
-                        # midpoint re-buckets to idx under any float
-                        # rounding — the head's windows land exactly
-                        # where direct ingest would put them.
-                        "t": (idx + 0.5) * self.resolution,
-                        "samples": bucket["samples"],
-                        "points": [
-                            {
-                                "name": name,
-                                "labels": dict(entry[0]),
-                                "agg": entry[1].as_state(),
-                            }
-                            for (name, _lkey), entry in sorted(
-                                bucket["points"].items()
-                            )
-                        ],
-                        "hts": _time.time(),
-                    }
-                )
-                sent += 1
-        self.windows_forwarded += sent
+            windows = self._folder.drain()
+        for record in windows:
+            record["hts"] = _time.time()
+            self.client.send(record)
+        self.windows_forwarded += len(windows)
         self.flushes += 1
-        return sent
+        return len(windows)
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
@@ -235,7 +150,7 @@ class FleetForwarder:
 
     def summary(self) -> Dict[str, Any]:
         with self._plock:
-            pending_jobs = len(self._pending)
+            pending_jobs = len(self._folder)
         stats = self.client.stats()
         return {
             "target": (

@@ -28,7 +28,11 @@ verbatim, per-tick ``sample`` records merge into per-(job, coarse
 bucket) ``sample_agg`` records carrying exact mergeable
 :class:`~repro.fleet.rollup.StatWindow` state — so lifetime
 count/sum/min/max/last survive compaction bit-exactly while the disk
-footprint shrinks by roughly the ticks-per-bucket ratio.  Compaction
+footprint shrinks by roughly the ticks-per-bucket ratio.  A coarse
+bucket is :data:`COMPACT_TIER_FACTOR` of the store's native buckets,
+so a replayed store serves the same series as the live one at that
+coarser resolution; only detail inside a coarse bucket is merged
+away.  Compaction
 is crash-safe: the summary is written to a temp file, fsynced,
 ``os.replace``d into place, and only then is the raw segment removed;
 if both survive a crash, replay prefers the raw source and the next
@@ -46,10 +50,10 @@ import os
 import re
 import threading
 import warnings
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.fleet.protocol import END_KINDS, decode_line, encode_record
-from repro.fleet.rollup import StatWindow
+from repro.fleet.rollup import SampleWindowFolder
 
 #: rotate the active segment once it reaches this many bytes.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -75,12 +79,6 @@ class Segment(NamedTuple):
     path: str
     compacted: bool
     bytes: int
-
-
-def _labels_key(labels: Any) -> Tuple[Tuple[str, str], ...]:
-    if not isinstance(labels, dict):
-        return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 class HistoryLog:
@@ -296,14 +294,17 @@ class HistoryLog:
     def compact(
         self,
         retain: int = DEFAULT_RETAIN_SEGMENTS,
-        resolution: float = 1.0,
+        resolution: float = 0.05,
     ) -> Dict[str, Any]:
         """Rewrite old raw segments into compacted summary segments.
 
         ``retain`` newest *closed* raw segments are left untouched
         (the active segment always is); everything older is rewritten
-        with per-tick samples merged into ``resolution``-wide
-        ``sample_agg`` buckets.  Returns the pass's stats.
+        with per-tick samples merged into ``sample_agg`` buckets
+        :data:`COMPACT_TIER_FACTOR` native buckets wide.
+        ``resolution`` is the native job resolution of the store the
+        log belongs to (``FleetStore.resolution``).  Returns the
+        pass's stats.
         """
         if retain < 0:
             raise ValueError(f"retain must be >= 0: {retain}")
@@ -389,74 +390,18 @@ def _compact_records(
     opens (and anything unrecognized) first, terminal records last, so
     a replayed job still starts before its aggregates and finishes
     after them.  ``sample``/``sample_agg`` records fold into one
-    ``sample_agg`` per (job, coarse bucket), points keyed by (name,
-    labels), each carrying exact mergeable StatWindow state.
+    ``sample_agg`` per (job, :data:`COMPACT_TIER_FACTOR` native
+    buckets) — see :class:`~repro.fleet.rollup.SampleWindowFolder`.
     """
     heads: List[Dict[str, Any]] = []
     tails: List[Dict[str, Any]] = []
-    jobs: Dict[str, Dict[int, Dict[str, Any]]] = {}
+    folder = SampleWindowFolder(resolution, COMPACT_TIER_FACTOR)
     for record in records:
+        if folder.fold(record):
+            continue
         kind = record.get("kind")
-        job = record.get("job")
-        if kind in ("sample", "sample_agg") and isinstance(job, str) and job:
-            t = record.get("t")
-            t = float(t) if isinstance(t, (int, float)) else 0.0
-            idx = int(t // resolution)
-            buckets = jobs.setdefault(job, {})
-            bucket = buckets.get(idx)
-            if bucket is None:
-                bucket = buckets[idx] = {"samples": 0, "points": {}}
-            points = record.get("points")
-            if not isinstance(points, list):
-                continue
-            if kind == "sample":
-                bucket["samples"] += 1
-            else:
-                samples = record.get("samples")
-                bucket["samples"] += (
-                    int(samples) if isinstance(samples, (int, float)) else 1
-                )
-            for point in points:
-                if not isinstance(point, dict):
-                    continue
-                name = point.get("name")
-                if not isinstance(name, str):
-                    continue
-                key = (name, _labels_key(point.get("labels")))
-                target = bucket["points"].get(key)
-                if target is None:
-                    target = bucket["points"][key] = StatWindow()
-                if kind == "sample":
-                    value = point.get("value")
-                    if isinstance(value, (int, float)):
-                        target.observe(float(value), t)
-                else:
-                    window = StatWindow.from_state(point.get("agg"))
-                    if window is not None:
-                        target.merge(window)
-        elif kind in END_KINDS or kind == "rank_status":
+        if kind in END_KINDS or kind == "rank_status":
             tails.append(record)
         else:
             heads.append(record)
-    out = list(heads)
-    for job in sorted(jobs):
-        for idx in sorted(jobs[job]):
-            bucket = jobs[job][idx]
-            out.append({
-                "kind": "sample_agg",
-                "job": job,
-                "t": idx * resolution,
-                "samples": bucket["samples"],
-                "points": [
-                    {
-                        "name": name,
-                        "labels": dict(labels),
-                        "agg": window.as_state(),
-                    }
-                    for (name, labels), window in sorted(
-                        bucket["points"].items()
-                    )
-                ],
-            })
-    out.extend(tails)
-    return out
+    return heads + folder.drain() + tails

@@ -16,6 +16,12 @@ coarser resolution) without touching what is retained.  A
 job, a node, or the fleet) with a hard cap on distinct names — the
 cap is never silent: dropped names are counted and exposed.
 
+Records are downsampled *before* they reach a store by one
+:class:`SampleWindowFolder`: a leaf's forwarder folds its stream into
+native-resolution windows for the head, and history compaction folds
+old segments into coarser windows.  Both emit ``sample_agg`` records
+that replay onto the same buckets live ingest filled.
+
 Retention tiers: a :class:`MetricRollup` can keep *coarser* rings
 behind the native one (``tiers=((10, cap), (100, cap))``).  A bucket
 evicted from tier N is not forgotten — it is merged
@@ -29,12 +35,46 @@ ring, so reads can stitch all tiers without double counting.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: the default retention ladder used by durable aggregators: evicted
 #: native buckets downsample 10x, then 100x, before falling off.
 DEFAULT_RETENTION_TIERS: Tuple[Tuple[int, int], ...] = ((10, 512), (100, 512))
+
+
+def labels_key(labels: Any) -> Tuple[Tuple[str, str], ...]:
+    """Hashable identity of a point's labels (non-dicts are unlabeled)."""
+    if not isinstance(labels, dict):
+        return ()
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def sample_header(
+    kind: Any, record: Dict[str, Any]
+) -> Optional[Tuple[float, int]]:
+    """``(t, samples)`` of a ``sample`` / ``sample_agg`` record.
+
+    A missing or non-numeric ``t`` reads as 0.0, and a ``sample_agg``
+    without a numeric ``samples`` counts as 1 (a ``sample`` always
+    does).  None when either is non-finite: ``json.loads`` accepts
+    ``NaN`` and ``Infinity``, and such a record has no bucket to land
+    in, so callers refuse it.  One check per record, none per point.
+    """
+    t = record.get("t")
+    try:
+        t = float(t) if isinstance(t, (int, float)) else 0.0
+        samples = 1
+        if kind == "sample_agg":
+            n = record.get("samples")
+            if isinstance(n, (int, float)):
+                samples = int(n)
+    except (OverflowError, ValueError):
+        return None
+    if not math.isfinite(t):
+        return None
+    return t, samples
 
 
 class StatWindow:
@@ -112,7 +152,7 @@ class StatWindow:
             window.max = float(state["max"])
             window.last = float(state["last"])
             window.last_t = float(state["last_t"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             return None
         if window.count < 0:
             return None
@@ -133,6 +173,117 @@ class StatWindow:
             f"<StatWindow n={self.count} avg={self.avg:.4g} "
             f"min={self.min:.4g} max={self.max:.4g}>"
         )
+
+
+class SampleWindowFolder:
+    """Fold ``sample`` / ``sample_agg`` records into per-(job, bucket)
+    :class:`StatWindow` state, and emit it as ``sample_agg`` records.
+
+    A record lands in bucket ``int(t // resolution) // factor``: the
+    store's own native bucket index, grouped ``factor`` at a time, so
+    a window covers exactly the native buckets its samples filled
+    live.  :meth:`drain` stamps each window at its bucket *midpoint*:
+    a boundary time such as ``17 * 0.05`` can floor-divide back into
+    bucket 16 (``0.85 // 0.05 == 16.0``), while the midpoint lands in
+    its own bucket under any float rounding.  Replaying the drained
+    records into a store with the same ``resolution`` therefore puts
+    every window in the bucket live ingest put its samples in.  Window
+    state is exactly mergeable, so draining a bucket that is still
+    filling and draining the rest later merges exactly too.
+    """
+
+    __slots__ = ("resolution", "factor", "_jobs")
+
+    def __init__(self, resolution: float, factor: int = 1) -> None:
+        if resolution <= 0:
+            raise ValueError(f"resolution must be positive: {resolution}")
+        if factor < 1:
+            raise ValueError(f"factor must be >= 1: {factor}")
+        self.resolution = resolution
+        self.factor = factor
+        # job -> bucket -> [samples, {(name, labels key): (labels, window)}]
+        self._jobs: Dict[str, Dict[int, List[Any]]] = {}
+
+    def __len__(self) -> int:
+        """Jobs holding windows not yet drained."""
+        return len(self._jobs)
+
+    def fold(self, record: Dict[str, Any]) -> bool:
+        """Fold one record; False when it is not a well-formed sample."""
+        kind = record.get("kind")
+        if kind != "sample" and kind != "sample_agg":
+            return False
+        job = record.get("job")
+        points = record.get("points")
+        if not isinstance(job, str) or not job or not isinstance(points, list):
+            return False
+        header = sample_header(kind, record)
+        if header is None:
+            return False
+        t, samples = header
+        idx = int(t // self.resolution) // self.factor
+        buckets = self._jobs.setdefault(job, {})
+        bucket = buckets.get(idx)
+        if bucket is None:
+            bucket = buckets[idx] = [0, {}]
+        bucket[0] += samples
+        windows = bucket[1]
+        is_agg = kind == "sample_agg"
+        for point in points:
+            if not isinstance(point, dict):
+                continue
+            name = point.get("name")
+            if not isinstance(name, str):
+                continue
+            if is_agg:
+                other = StatWindow.from_state(point.get("agg"))
+                if other is None:
+                    continue
+            else:
+                value = point.get("value")
+                if not isinstance(value, (int, float)):
+                    continue
+            labels = point.get("labels")
+            key = (name, labels_key(labels))
+            entry = windows.get(key)
+            if entry is None:
+                entry = windows[key] = (
+                    labels if isinstance(labels, dict) else {},
+                    StatWindow(),
+                )
+            if is_agg:
+                entry[1].merge(other)
+            else:
+                entry[1].observe(float(value), t)
+        return True
+
+    def drain(self) -> List[Dict[str, Any]]:
+        """One ``sample_agg`` per (job, bucket), in job then time order.
+
+        The folder is empty again afterwards.
+        """
+        jobs, self._jobs = self._jobs, {}
+        width = self.resolution * self.factor
+        out: List[Dict[str, Any]] = []
+        for job in sorted(jobs):
+            for idx, (samples, windows) in sorted(jobs[job].items()):
+                out.append({
+                    "kind": "sample_agg",
+                    "job": job,
+                    "t": (idx + 0.5) * width,
+                    "samples": samples,
+                    "points": [
+                        {
+                            "name": name,
+                            "labels": dict(labels),
+                            "agg": window.as_state(),
+                        }
+                        for (name, _lkey), (labels, window) in sorted(
+                            windows.items()
+                        )
+                    ],
+                })
+        return out
 
 
 class RollupRing:

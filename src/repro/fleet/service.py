@@ -37,11 +37,7 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fleet.forward import DEFAULT_FORWARD_INTERVAL, FleetForwarder
-from repro.fleet.history import (
-    COMPACT_TIER_FACTOR,
-    DEFAULT_RETAIN_SEGMENTS,
-    HistoryLog,
-)
+from repro.fleet.history import DEFAULT_RETAIN_SEGMENTS, HistoryLog
 from repro.fleet.ingest import IngestServer, JsonlTailIngester
 from repro.fleet.protocol import parse_address
 from repro.fleet.rollup import DEFAULT_RETENTION_TIERS
@@ -160,8 +156,7 @@ class FleetAggregator:
         if self.history is None:
             return None
         return self.history.compact(
-            retain=self.retain,
-            resolution=self.store.resolution * COMPACT_TIER_FACTOR,
+            retain=self.retain, resolution=self.store.resolution
         )
 
     def start(self) -> "FleetAggregator":

@@ -1,4 +1,4 @@
-"""Fleet publishers: `LineClient`, `ResilientClient`, `FleetSink`.
+"""Fleet publishers: `ResilientClient` and the `FleetSink` riding it.
 
 A :class:`FleetSink` quacks like a
 :class:`repro.telemetry.sinks.TelemetrySink`, so it rides the existing
@@ -6,24 +6,18 @@ sampler unchanged: ``open()`` announces ``job_start``, every tick
 becomes a ``sample`` record, ``close()`` publishes terminal rank
 statuses and ``job_end``.
 
-Two transports back it:
-
-* :class:`LineClient` — the synchronous best-effort writer, kept for
-  pipe/file targets and anywhere a background thread is unwanted.  A
-  transport error *degrades* it (one ``RuntimeWarning`` per failure
-  kind, drops counted in ``dropped_lines``) and it re-probes after a
-  cooldown, so an aggregator restart heals instead of disabling the
-  stream forever.
-* :class:`ResilientClient` — the loss-tolerant socket publisher the
-  fleet path now runs on: records are stamped with a publisher id and
-  a monotonic sequence number, queued in a bounded in-memory deque,
-  and drained by a background thread that reconnects with jittered
-  exponential backoff (:func:`repro.faults.retry.retry_with_backoff`).
-  With ``spool_dir`` it is *durable*: every record spills to an
-  NDJSON :class:`~repro.fleet.spool.Spool` before it is offered to
-  the socket, the aggregator acknowledges each stamped record it
-  processed, and the backlog re-drains (and the aggregator dedups)
-  across either side restarting.
+Every record that leaves a process for an aggregator — a job's
+samples, the sweep runner's lifecycle stream, a leaf's forwarded
+windows, a ``fleet drain`` — goes through one publisher,
+:class:`ResilientClient`: records are stamped with a publisher id and
+a monotonic sequence number, queued in a bounded in-memory deque, and
+drained by a background thread that reconnects with jittered
+exponential backoff (:func:`repro.faults.retry.retry_with_backoff`).
+With ``spool_dir`` it is *durable*: every record spills to an NDJSON
+:class:`~repro.fleet.spool.Spool` before it is offered to the socket,
+the aggregator acknowledges each stamped record it processed, and the
+backlog re-drains (and the aggregator dedups) across either side
+restarting.
 
 Publishing stays *best-effort by contract* at the API: ``send`` never
 raises and a dead aggregator never fails the job — but with a spool
@@ -53,15 +47,20 @@ from repro.fleet.protocol import (
 from repro.fleet.spool import Spool, pending_spools
 from repro.simt.random import RngStreams
 
-#: transport targets a LineClient accepts: "host:port", (host, port),
-#: or a writable binary file object (a pipe end).
-Target = Union[str, Tuple[str, int], Any]
-
-#: LineClient re-probes a degraded transport after this many seconds.
-DEFAULT_RECONNECT_COOLDOWN = 1.0
+#: a publisher's aggregator address: "host:port" or (host, port).
+Address = Union[str, Tuple[str, int]]
 
 #: ResilientClient's bounded in-memory queue (records).
 DEFAULT_QUEUE_MAX = 4096
+
+#: connect timeout, and the per-send timeout once connected: a slow
+#: aggregator backpressures the drain thread, never wedges it forever.
+_CONNECT_TIMEOUT = 5.0
+_SEND_TIMEOUT = 30.0
+
+#: reconnect backoff growth and jitter (see retry_with_backoff).
+_RETRY_FACTOR = 2.0
+_RETRY_JITTER = 0.5
 
 #: records sent per sendall batch by the drain thread.
 _SEND_BATCH = 64
@@ -79,147 +78,6 @@ def _default_pub() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{n}"
 
 
-class LineClient:
-    """Best-effort synchronous NDJSON publisher over a socket or pipe.
-
-    ``send`` never raises.  A transport failure degrades the client:
-    it warns once *per failure kind* (an EPIPE after an ECONNREFUSED
-    is a different story and deserves its own warning), counts every
-    lost record in ``dropped_lines``, and re-probes the transport
-    after ``cooldown`` seconds — so a restarted aggregator picks the
-    stream back up without a new client.
-    """
-
-    def __init__(
-        self,
-        target: Target,
-        label: str = "fleet",
-        cooldown: float = DEFAULT_RECONNECT_COOLDOWN,
-    ) -> None:
-        self.target = target
-        self.label = label
-        self.cooldown = cooldown
-        self._sock: Optional[socket.socket] = None
-        self._file: Optional[Any] = None
-        self._connected = False
-        self._degraded = False
-        self._retry_at = 0.0
-        self.sent = 0
-        self.dropped_lines = 0
-        self.drops_by_kind: Dict[str, int] = {}
-        self.reconnects = 0
-        self.last_error: Optional[str] = None
-        self._warned_kinds: set = set()
-        # one client may be shared across supervision threads; writes
-        # must not interleave mid-line.
-        self._lock = threading.Lock()
-
-    @property
-    def dropped(self) -> int:
-        """Back-compat alias for :attr:`dropped_lines`."""
-        return self.dropped_lines
-
-    @property
-    def disabled(self) -> bool:
-        """True while the transport is degraded (cooldown pending)."""
-        return self._degraded
-
-    def _connect(self) -> None:
-        if isinstance(self.target, (str, tuple)):
-            address = parse_address(self.target)
-            self._sock = socket.create_connection(address, timeout=5.0)
-            # publishers are fire-and-forget; a slow aggregator should
-            # backpressure, not wedge the job forever.
-            self._sock.settimeout(30.0)
-        else:
-            if not hasattr(self.target, "write"):
-                raise ValueError(
-                    f"fleet target must be HOST:PORT or a writable "
-                    f"object, got {type(self.target).__name__}"
-                )
-            self._file = self.target
-        self._connected = True
-
-    def _degrade(self, exc: Exception) -> None:
-        kind = type(exc).__name__
-        was_degraded = self._degraded
-        self._degraded = True
-        self._retry_at = _time.monotonic() + self.cooldown
-        self._close_transport()
-        self._connected = False
-        self.last_error = f"{kind}: {exc}"
-        self.dropped_lines += 1
-        self.drops_by_kind[kind] = self.drops_by_kind.get(kind, 0) + 1
-        if kind not in self._warned_kinds:
-            self._warned_kinds.add(kind)
-            verb = "still degraded" if was_degraded else "degraded"
-            try:
-                warnings.warn(
-                    f"{self.label} publishing {verb} ({kind}: {exc}); "
-                    f"dropping records, re-probing every "
-                    f"{self.cooldown:g}s",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            except Exception:
-                # -W error promotes warnings; a monitoring client must
-                # still never raise into the publishing job.
-                pass
-
-    def send(self, record: Dict[str, Any]) -> bool:
-        with self._lock:
-            if self._degraded and _time.monotonic() < self._retry_at:
-                self.dropped_lines += 1
-                kind = (self.last_error or "degraded").split(":", 1)[0]
-                self.drops_by_kind[kind] = self.drops_by_kind.get(kind, 0) + 1
-                return False
-            try:
-                if not self._connected:
-                    self._connect()
-                data = encode_record(record)
-                if self._sock is not None:
-                    self._sock.sendall(data)
-                else:
-                    self._file.write(data)
-                    flush = getattr(self._file, "flush", None)
-                    if flush is not None:
-                        flush()
-            except (OSError, ValueError, TypeError) as exc:
-                self._degrade(exc)
-                return False
-            if self._degraded:
-                self._degraded = False
-                self.reconnects += 1
-            self.sent += 1
-            return True
-
-    def _close_transport(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - nothing left to do
-                pass
-            self._sock = None
-        # a pipe target is owned by the caller; never close it here.
-        self._file = None
-
-    def close(self) -> None:
-        with self._lock:
-            self._close_transport()
-            self._connected = False
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "sent": self.sent,
-                "dropped_lines": self.dropped_lines,
-                "drops_by_kind": dict(self.drops_by_kind),
-                "reconnects": self.reconnects,
-                "degraded": self._degraded,
-                "last_error": self.last_error,
-            }
-
-
 class ResilientClient:
     """Loss-tolerant NDJSON publisher with queue, backoff and spool.
 
@@ -229,7 +87,7 @@ class ResilientClient:
     exponential backoff whenever it breaks.  Jitter is deterministic:
     the backoff rng is a seeded
     :class:`~repro.simt.random.RngStreams` stream derived from the
-    publisher id (or an explicit ``seed``).
+    publisher id.
 
     Without a spool the queue is the only buffer: overflow drops the
     *oldest* records (counted in ``dropped_lines``; the head observes
@@ -243,24 +101,19 @@ class ResilientClient:
 
     def __init__(
         self,
-        target: Union[str, Tuple[str, int]],
+        target: Address,
         label: str = "fleet",
         *,
         pub: Optional[str] = None,
         spool_dir: Optional[str] = None,
         queue_max: int = DEFAULT_QUEUE_MAX,
-        connect_timeout: float = 5.0,
-        send_timeout: float = 30.0,
         retry_attempts: int = 5,
         retry_base: float = 0.05,
-        retry_factor: float = 2.0,
-        retry_jitter: float = 0.5,
         retry_max_delay: float = 2.0,
-        seed: Optional[int] = None,
     ) -> None:
         if not isinstance(target, (str, tuple)):
             raise ValueError(
-                f"ResilientClient needs a socket target (HOST:PORT), "
+                f"fleet publishers need a socket target (HOST:PORT), "
                 f"got {type(target).__name__}"
             )
         parse_address(target)  # fail loudly on malformed addresses
@@ -270,16 +123,12 @@ class ResilientClient:
         self.label = label
         self.pub = pub or _default_pub()
         self.queue_max = queue_max
-        self.connect_timeout = connect_timeout
-        self.send_timeout = send_timeout
         self.retry_attempts = retry_attempts
         self.retry_base = retry_base
-        self.retry_factor = retry_factor
-        self.retry_jitter = retry_jitter
         self.retry_max_delay = retry_max_delay
-        if seed is None:
-            seed = zlib.crc32(self.pub.encode("utf-8"))
-        self._rng = RngStreams(seed).get("fleet.reconnect")
+        self._rng = RngStreams(zlib.crc32(self.pub.encode("utf-8"))).get(
+            "fleet.reconnect"
+        )
         self.spool: Optional[Spool] = (
             Spool(spool_dir, self.pub) if spool_dir is not None else None
         )
@@ -588,8 +437,8 @@ class ResilientClient:
                     attempt,
                     attempts=self.retry_attempts,
                     base_delay=self.retry_base,
-                    factor=self.retry_factor,
-                    jitter=self.retry_jitter,
+                    factor=_RETRY_FACTOR,
+                    jitter=_RETRY_JITTER,
                     rng=self._rng,
                     max_delay=self.retry_max_delay,
                     is_retryable=lambda ok: not ok,
@@ -607,7 +456,7 @@ class ResilientClient:
 
     def _open_connection(self) -> None:
         address = parse_address(self.target)
-        sock = socket.create_connection(address, timeout=self.connect_timeout)
+        sock = socket.create_connection(address, timeout=_CONNECT_TIMEOUT)
         try:
             if sock.getsockname() == sock.getpeername():
                 # TCP simultaneous-open: dialing an *unbound* localhost
@@ -623,7 +472,7 @@ class ResilientClient:
                 sock.close()
             finally:
                 raise
-        sock.settimeout(self.send_timeout)
+        sock.settimeout(_SEND_TIMEOUT)
         try:
             sock.sendall(encode_record(hello_record(self.pub, self.durable)))
         except OSError:
@@ -732,7 +581,7 @@ class ResilientClient:
 
 
 def drain_spool_dir(
-    target: Union[str, Tuple[str, int]],
+    target: Address,
     spool_dir: str,
     timeout: float = 10.0,
 ) -> Dict[str, Any]:
@@ -784,10 +633,9 @@ def drain_spool_dir(
 class FleetSink:
     """Telemetry sink streaming one job into a fleet aggregator.
 
-    Socket targets ride a :class:`ResilientClient` (durable when
-    ``spool_dir`` is given — the publisher id is then derived from the
-    job so a retried attempt resumes the same stream); pipe/file
-    targets keep the synchronous :class:`LineClient`.  When the
+    The transport is a :class:`ResilientClient` — durable when
+    ``spool_dir`` is given, and the publisher id is then derived from
+    the job so a retried attempt resumes the same stream.  When the
     transport has been stressed, each sample additionally carries the
     publisher's own health as series (``publisher_dropped_lines``,
     ``publisher_spool_depth``, ``publisher_reconnects``) — zero-cost
@@ -799,12 +647,11 @@ class FleetSink:
 
     def __init__(
         self,
-        target: Target,
+        target: Address,
         job: str,
         meta: Optional[Dict[str, Any]] = None,
         source: str = "job",
         spool_dir: Optional[str] = None,
-        queue_max: int = DEFAULT_QUEUE_MAX,
         flush_timeout: float = 5.0,
     ) -> None:
         if not job:
@@ -812,23 +659,15 @@ class FleetSink:
         self.job = job
         self.source = source
         self.flush_timeout = flush_timeout
-        label = f"fleet sink ({job[:12]})"
-        if isinstance(target, (str, tuple)):
-            self.client: Union[LineClient, ResilientClient] = (
-                ResilientClient(
-                    target,
-                    label=label,
-                    # durable streams must resume the same (pub, seq)
-                    # axis across publisher restarts; queue-only
-                    # streams must NOT reuse a pub (a fresh seq=0
-                    # would be deduped as a replay).
-                    pub=f"job:{job}" if spool_dir is not None else None,
-                    spool_dir=spool_dir,
-                    queue_max=queue_max,
-                )
-            )
-        else:
-            self.client = LineClient(target, label=label)
+        self.client = ResilientClient(
+            target,
+            label=f"fleet sink ({job[:12]})",
+            # durable streams must resume the same (pub, seq) axis
+            # across publisher restarts; queue-only streams must NOT
+            # reuse a pub (a fresh seq=0 would be deduped as a replay).
+            pub=f"job:{job}" if spool_dir is not None else None,
+            spool_dir=spool_dir,
+        )
         self.meta: Dict[str, Any] = dict(meta or {})
         self.ticks = 0
         self.closed = False
@@ -855,8 +694,6 @@ class FleetSink:
 
     def _health_points(self) -> List[Dict[str, Any]]:
         client = self.client
-        if not isinstance(client, ResilientClient):
-            return []
         out: List[Dict[str, Any]] = []
         for name, value in (
             ("publisher_dropped_lines", client.dropped_lines),
@@ -908,10 +745,7 @@ class FleetSink:
         if self._wallclock is not None:
             end["wallclock"] = self._wallclock
         self.client.send(end)
-        if isinstance(self.client, ResilientClient):
-            self.client.close(flush_timeout=self.flush_timeout)
-        else:
-            self.client.close()
+        self.client.close(flush_timeout=self.flush_timeout)
 
     # -- runner hook ----------------------------------------------------
 

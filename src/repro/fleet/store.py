@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 
 from repro.fleet.protocol import END_KINDS, START_KINDS, record_stamp
 from repro.fleet.registry import DEFAULT_STALE_AFTER, FleetRegistry
-from repro.fleet.rollup import RollupSet, StatWindow
+from repro.fleet.rollup import RollupSet, StatWindow, sample_header
 from repro.telemetry.sinks import escape_label_value, format_value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +42,7 @@ FLEET_HELP = {
     "fleet_ingest_samples_total": "Sample records ingested",
     "fleet_ingest_points_total": "Individual sample points ingested",
     "fleet_ingest_parse_errors_total": "Wire lines that failed to parse",
-    "fleet_ingest_dropped_total": "Records refused (missing job id, unknown kind)",
+    "fleet_ingest_dropped_total": "Records refused (no job id, unknown kind, bad sample)",
     "fleet_rollup_names_dropped_total": "Metric names refused by the per-entity cap",
     "fleet_publishers": "Resilient publisher streams seen (stamped records)",
     "fleet_publisher_dup_records_total": "Replayed records deduped by the sequence audit",
@@ -143,10 +143,11 @@ class FleetStore:
             folded again, but the publisher should be acknowledged so
             it stops re-sending;
         ``"refused"``
-            bookkeeping, never an exception: unknown kinds and
-            job-scoped records without a job id bump ``dropped`` (a
-            stamped refusal still consumes its seq, so it is not a
-            gap);
+            bookkeeping, never an exception: unknown kinds, job-scoped
+            records without a job id and samples without a points
+            list or with a non-finite ``t``/``samples`` bump
+            ``dropped`` (a stamped refusal still consumes its seq, so
+            it is not a gap);
         ``"frozen"``
             the store was killed; nothing was recorded and the record
             must NOT be acknowledged.
@@ -248,15 +249,15 @@ class FleetStore:
         return False
 
     def _ingest_sample(self, job: str, record: Dict[str, Any]) -> bool:
+        header = sample_header("sample", record)
         points = record.get("points")
-        if not isinstance(points, list):
+        if header is None or not isinstance(points, list):
             self.dropped += 1
             return False
+        t = header[0]
         job_record = self.registry.job_seen(job)
         job_record.samples += 1
         self.samples += 1
-        t = record.get("t")
-        t = float(t) if isinstance(t, (int, float)) else 0.0
         host_t = self.clock() - self.started_at
         job_set = self._job_set(job)
         for point in points:
@@ -306,19 +307,15 @@ class FleetStore:
         window count feeds the point totals — so /jobs summaries and
         lifetime aggregates match the uncompacted stream bit-for-bit.
         """
+        header = sample_header("sample_agg", record)
         points = record.get("points")
-        if not isinstance(points, list):
+        if header is None or not isinstance(points, list):
             self.dropped += 1
             return False
+        t, n_samples = header
         job_record = self.registry.job_seen(job)
-        samples = record.get("samples")
-        n_samples = (
-            int(samples) if isinstance(samples, (int, float)) else 1
-        )
         job_record.samples += n_samples
         self.samples += n_samples
-        t = record.get("t")
-        t = float(t) if isinstance(t, (int, float)) else 0.0
         host_t = self.clock() - self.started_at
         job_set = self._job_set(job)
         for point in points:

@@ -9,8 +9,9 @@ so a single record serves two audiences:
 * the stdlib logger ``repro.sweep.lifecycle`` gets it as a JSON-line
   message with the dict attached as ``record.sweep_event`` (structured
   handlers read the attribute, text handlers read the line);
-* a fleet aggregator gets it verbatim over the runner's
-  :class:`~repro.fleet.sink.LineClient` when ``SweepRunner(...,
+* a fleet aggregator gets it over the runner's
+  :class:`~repro.fleet.sink.ResilientClient` (stamped with the
+  stream's ``pub``/``seq``) when ``SweepRunner(...,
   fleet="host:port")`` is set.
 
 Emission is guarded by ``isEnabledFor(INFO)``, so runs without a

@@ -199,11 +199,14 @@ class SweepRunner:
     ``fleet``
         a fleet aggregator's ingest address (``"host:port"``): per-spec
         lifecycle records (start/finish/status/attempts) stream there
-        live, and specs whose telemetry is enabled additionally attach
-        a :class:`~repro.fleet.sink.FleetSink` so their samples stream
+        live through one :class:`~repro.fleet.sink.ResilientClient`,
+        flushed before ``run()`` returns, and specs whose telemetry is
+        enabled additionally attach a
+        :class:`~repro.fleet.sink.FleetSink` so their samples stream
         too.  Observability only — it does not change which specs run,
         the cache keys, or any report byte.  ``fleet`` does *not* flip
-        the runner into supervised mode.
+        the runner into supervised mode.  Close the runner (or use it
+        as a context manager) so its last records are delivered.
     ``fleet_spool``
         a directory (needs ``fleet``): publishers become *durable* —
         records spool to disk while the aggregator is unreachable and
@@ -335,33 +338,37 @@ class SweepRunner:
             return
         client = self._fleet_client
         if client is None:
-            if self.fleet_spool is not None:
-                from repro.fleet.sink import ResilientClient
+            from repro.fleet.sink import ResilientClient
 
-                client = self._fleet_client = ResilientClient(
-                    self.fleet,
-                    label="sweep lifecycle",
-                    pub="sweep:lifecycle",
-                    spool_dir=self.fleet_spool,
-                )
-            else:
-                from repro.fleet.sink import LineClient
-
-                client = self._fleet_client = LineClient(
-                    self.fleet, label="sweep lifecycle"
-                )
+            spooled = self.fleet_spool is not None
+            client = self._fleet_client = ResilientClient(
+                self.fleet,
+                label="sweep lifecycle",
+                # a spooled stream resumes its (pub, seq) axis; a
+                # queue-only one restarts at seq 0 and must not reuse
+                # a pub, or the aggregator dedups it as a replay.
+                pub="sweep:lifecycle" if spooled else None,
+                spool_dir=self.fleet_spool,
+            )
         client.send(record)
 
-    def _drain_fleet_spool(self) -> None:
-        """Deliver records worker sinks left spooled (end of ``run``).
+    def _flush_fleet(self) -> None:
+        """Put the fleet stream on the wire before ``run`` returns.
 
-        A worker whose aggregator vanished mid-spec closes its durable
-        sink with the backlog still on disk; once the aggregator is
-        back, this hands every orphaned publisher stream to it exactly
-        once (sequence numbers dedup any overlap).  Best-effort: an
-        aggregator still down leaves the spools for ``fleet drain``.
+        Without a spool, this waits for the lifecycle client to send
+        its queue.  With one, it also delivers records worker sinks
+        left spooled: a worker whose aggregator vanished mid-spec
+        closes its durable sink with the backlog still on disk; once
+        the aggregator is back, this hands every orphaned publisher
+        stream to it exactly once (sequence numbers dedup any
+        overlap).  Best-effort: an aggregator still down leaves the
+        spools for ``fleet drain``.
         """
-        if self.fleet is None or self.fleet_spool is None:
+        if self.fleet is None:
+            return
+        if self.fleet_spool is None:
+            if self._fleet_client is not None:
+                self._fleet_client.flush()
             return
         from repro.fleet.sink import drain_spool_dir
         from repro.fleet.spool import pending_spools
@@ -446,7 +453,7 @@ class SweepRunner:
         self._tearing_down = False
         try:
             mode_used = self._execute(unique, done)
-            self._drain_fleet_spool()
+            self._flush_fleet()
         except BaseException:
             # interrupt or fatal error mid-sweep: kill the warm workers
             # before unwinding so a Ctrl-C'd sweep leaves no children

@@ -133,7 +133,7 @@ class TestHistoryLog:
         store.history = log  # tee without replay
         _stream(store, jobs=6, ticks=8)
         log.rotate()
-        stats = log.compact(retain=0, resolution=0.5)
+        stats = log.compact(retain=0, resolution=0.05)
         assert stats["segments_compacted"] >= 1
         assert stats["records_out"] < stats["records_in"]
         assert stats["bytes_after"] < stats["bytes_before"]
@@ -230,7 +230,7 @@ class TestStoreReplay:
         pre = store.job_rollups("job-001")["metrics"]["gpu_busy"]["stats"]
         pre_jobs = _strip_clocks(store.jobs_summary())
         log.rotate()
-        stats = log.compact(retain=0, resolution=0.5)
+        stats = log.compact(retain=0, resolution=0.05)
         assert stats["segments_compacted"] == 1
         log.close()
 
@@ -325,3 +325,36 @@ class TestDurableAggregator:
     def test_bad_retain_raises(self, tmp_path):
         with pytest.raises(ValueError):
             FleetAggregator(data_dir=str(tmp_path / "d"), retain=-1)
+
+
+class TestCompactionReplayParity:
+    def test_compacted_history_replays_onto_the_live_buckets(self, tmp_path):
+        """Downsample, don't shift: samples every 0.025 s over
+        t in [0.5, 1.5) are compacted into 10x-native windows, and the
+        store replayed from them serves the live series bucket for
+        bucket at that resolution."""
+        data = str(tmp_path / "data")
+        agg = FleetAggregator(data_dir=data, compact_interval=0, retain=0)
+        with agg:
+            store = agg.store
+            store.ingest({"kind": "job_start", "job": "j"})
+            for i in range(40):
+                store.ingest({
+                    "kind": "sample", "job": "j", "t": 0.5 + i * 0.025,
+                    # integral values: sums are exact in any merge order
+                    "points": [{"name": "m", "labels": {},
+                                "value": float(i)}],
+                })
+            store.ingest({"kind": "job_end", "job": "j", "status": "ok"})
+            live = store.job_rollups("j", resolution=0.5)["metrics"]["m"]
+            agg.history.rotate()
+            assert agg.compact()["segments_compacted"] == 1
+        assert all(s.compacted for s in HistoryLog(data).segments())
+        with FleetAggregator(data_dir=data, compact_interval=0) as again:
+            replayed = again.store.job_rollups("j", resolution=0.5)
+        replayed = replayed["metrics"]["m"]
+        assert [(b["t"], b["count"]) for b in live["series"]] == [
+            (0.0, 1), (0.5, 20), (1.0, 19)
+        ]
+        assert replayed["series"] == live["series"]
+        assert replayed["stats"] == live["stats"]

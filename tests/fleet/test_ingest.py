@@ -53,6 +53,28 @@ class TestIngestServer:
         finally:
             server.stop()
 
+    def test_non_finite_record_does_not_drop_the_connection(self):
+        """json.loads accepts NaN/Infinity: such a record is refused
+        and counted, and the rest of the connection still folds."""
+        store = FleetStore()
+        server = IngestServer(store).start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as s:
+                s.sendall(
+                    b'{"kind": "sample", "job": "j1", "t": NaN, '
+                    b'"points": []}\n'
+                    b'{"kind": "sample_agg", "job": "j1", "t": 0.0, '
+                    b'"samples": Infinity, "points": []}\n'
+                )
+                s.sendall(encode_record({
+                    "kind": "sample", "job": "j1", "t": 0.0,
+                    "points": [{"name": "m", "labels": {}, "value": 1.0}],
+                }))
+            assert wait_until(lambda: store.samples == 1)
+            assert store.dropped == 2
+        finally:
+            server.stop()
+
     def test_connection_count_tracks_publishers(self):
         store = FleetStore()
         server = IngestServer(store).start()

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.fleet.rollup import MetricRollup, RollupRing, RollupSet, StatWindow
+from repro.fleet.rollup import (
+    MetricRollup,
+    RollupRing,
+    RollupSet,
+    SampleWindowFolder,
+    StatWindow,
+)
 
 
 class TestStatWindow:
@@ -156,6 +162,10 @@ class TestStatWindowMergeAdopt:
         assert StatWindow.from_state({"count": -1}) is None
         assert StatWindow.from_state({"count": "x"}) is None
         assert StatWindow.from_state("nope") is None
+        # json.loads turns Infinity into a float int() cannot convert
+        state = StatWindow().as_state()
+        state["count"] = float("inf")
+        assert StatWindow.from_state(state) is None
 
 
 class TestRollupRingEvictionOrder:
@@ -260,3 +270,64 @@ class TestRetentionTiers:
         w.observe(2.0, t=0.5)
         assert rs.absorb("gpu_busy", 0.5, w)
         assert rs.snapshot()["gpu_busy"]["stats"]["count"] == 1
+
+
+def _sample(t, value, job="j", **labels):
+    return {"kind": "sample", "job": job, "t": t,
+            "points": [{"name": "m", "labels": labels, "value": value}]}
+
+
+class TestSampleWindowFolder:
+    def test_windows_land_on_their_bucket_midpoint(self):
+        folder = SampleWindowFolder(0.05)
+        # 0.85 // 0.05 == 16.0: a boundary time sits in the bucket below
+        for t, value in ((0.85, 1.0), (0.84, 3.0), (0.9, 5.0)):
+            assert folder.fold(_sample(t, value))
+        out = folder.drain()
+        assert [r["t"] // 0.05 for r in out] == [16.0, 17.0]
+        assert [r["samples"] for r in out] == [2, 1]
+        assert out[0]["points"][0]["agg"]["sum"] == 4.0
+        assert not folder.drain() and len(folder) == 0
+
+    def test_factor_groups_the_native_bucket_index(self):
+        folder = SampleWindowFolder(0.05, factor=10)
+        # 0.5 // 0.05 == 9.0: native bucket 9 belongs to window 0
+        for t in (0.5, 0.525, 0.99):
+            folder.fold(_sample(t, 1.0))
+        assert [(r["t"], r["samples"]) for r in folder.drain()] == [
+            (0.25, 1), (0.75, 2)
+        ]
+
+    def test_aggregates_merge_and_labels_stay_distinct(self):
+        folder = SampleWindowFolder(1.0)
+        folder.fold(_sample(0.1, 2.0, gpu="0"))
+        folder.fold(_sample(0.2, 4.0, gpu="1"))
+        (first,) = folder.drain()
+        assert [p["labels"] for p in first["points"]] == [
+            {"gpu": "0"}, {"gpu": "1"}
+        ]
+        folder.fold(first)
+        folder.fold(_sample(0.3, 6.0, gpu="0"))
+        (merged,) = folder.drain()
+        assert merged["samples"] == 3
+        assert merged["points"][0]["agg"]["count"] == 2
+        assert merged["points"][0]["agg"]["last"] == 6.0
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "job_start", "job": "j"},
+        {"kind": "sample", "job": "", "t": 0.0, "points": []},
+        {"kind": "sample", "job": "j", "t": 0.0, "points": "nope"},
+        {"kind": "sample", "job": "j", "t": float("nan"), "points": []},
+        {"kind": "sample_agg", "job": "j", "t": 0.0,
+         "samples": float("inf"), "points": []},
+    ], ids=["lifecycle", "no-job", "no-points", "nan-t", "inf-samples"])
+    def test_refuses_what_the_store_refuses(self, record):
+        folder = SampleWindowFolder(0.05)
+        assert not folder.fold(record)
+        assert not folder.drain()
+
+    def test_bad_parameters_raise(self):
+        with pytest.raises(ValueError):
+            SampleWindowFolder(0.0)
+        with pytest.raises(ValueError):
+            SampleWindowFolder(0.05, factor=0)

@@ -7,7 +7,6 @@ import urllib.request
 import pytest
 
 from repro.fleet import FleetAggregator, FleetSink
-from repro.fleet.sink import LineClient
 from repro.telemetry.series import SamplePoint
 
 
@@ -29,33 +28,6 @@ def point(name, value, t=0.0, **labels):
     return SamplePoint(
         t=t, name=name, labels=tuple(sorted(labels.items())), value=value
     )
-
-
-class TestLineClient:
-    def test_pipe_target_writes_ndjson(self, tmp_path):
-        path = tmp_path / "out.ndjson"
-        with open(path, "wb") as fh:
-            client = LineClient(fh)
-            assert client.send({"kind": "job_start", "job": "j"})
-            client.close()
-        lines = path.read_bytes().splitlines()
-        assert json.loads(lines[0])["job"] == "j"
-
-    def test_unreachable_target_warns_once_then_counts_drops(self):
-        client = LineClient("127.0.0.1:1")  # nothing listens on port 1
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            assert not client.send({"kind": "job_start", "job": "j"})
-        # no second warning for the same failure kind, just accounting
-        assert not client.send({"kind": "job_start", "job": "j"})
-        assert client.disabled
-        assert client.dropped == 2 and client.sent == 0
-        assert client.dropped_lines == 2
-        assert client.drops_by_kind == {"ConnectionRefusedError": 2}
-
-    def test_bad_target_type_disables_not_raises(self):
-        client = LineClient(42)
-        with pytest.warns(RuntimeWarning):
-            assert not client.send({"kind": "job_start", "job": "j"})
 
 
 class TestFleetSinkEndToEnd:
@@ -106,8 +78,28 @@ class TestFleetSinkEndToEnd:
         with pytest.raises(ValueError):
             FleetSink("127.0.0.1:1", job="")
 
+    @pytest.mark.parametrize("target", ["no-port", "host:http", 42])
+    def test_non_socket_target_is_rejected(self, target):
+        with pytest.raises(ValueError):
+            FleetSink(target, job="j")
+
 
 class TestAggregatorLifecycle:
+    def test_non_finite_line_does_not_stop_the_tail_loop(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        path.write_text(
+            '{"kind": "sample", "t": NaN, "points": []}\n'
+            + json.dumps({
+                "kind": "sample", "t": 0.1,
+                "points": [{"name": "m", "labels": {}, "value": 1.0}],
+            }) + "\n",
+            encoding="utf-8",
+        )
+        with FleetAggregator(tail_interval=0.02) as agg:
+            agg.add_tail(str(path))
+            assert wait_until(lambda: agg.store.samples == 1)
+            assert agg.store.dropped == 1
+
     def test_tail_loop_follows_a_growing_file(self, tmp_path):
         path = tmp_path / "live.jsonl"
         path.write_text("", encoding="utf-8")

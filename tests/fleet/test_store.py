@@ -76,6 +76,28 @@ class TestIngest:
                                  "points": "nope"})
         assert store.dropped == 1
 
+    @pytest.mark.parametrize("line", [
+        '{"kind": "sample", "job": "j1", "t": NaN, "points": []}',
+        '{"kind": "sample", "job": "j1", "t": -Infinity, "points": []}',
+        '{"kind": "sample", "job": "j1", "t": 1e999, "points": []}',
+        '{"kind": "sample", "job": "j1", "t": 1' + "0" * 400
+        + ', "points": []}',
+        '{"kind": "sample_agg", "job": "j1", "t": 0.0, "samples": Infinity,'
+        ' "points": []}',
+        '{"kind": "sample_agg", "job": "j1", "t": 0.0, "samples": NaN,'
+        ' "points": []}',
+        '{"kind": "sample_agg", "job": "j1", "t": NaN, "samples": 2,'
+        ' "points": []}',
+    ], ids=["nan-t", "neg-inf-t", "overflow-t", "huge-int-t",
+            "inf-samples", "nan-samples", "agg-nan-t"])
+    def test_non_finite_time_or_count_is_refused_not_raised(
+        self, store, line
+    ):
+        assert store.ingest_status(decode_line(line)) == "refused"
+        assert store.dropped == 1
+        assert store.samples == 0
+        assert store.registry.job("j1") is None
+
     def test_malformed_points_are_skipped_not_fatal(self, store):
         assert store.ingest({
             "kind": "sample", "job": "j1", "t": 0.0,

@@ -153,6 +153,26 @@ class TestRunnerFleetStreaming:
             # node-level series carried hostnames into the node registry
             assert store.registry.nodes()
 
+    def test_back_to_back_runners_are_not_deduped(self, tmp_path):
+        """Each queue-only lifecycle stream gets its own publisher id:
+        a second runner restarting at seq 0 must not be taken for a
+        replay of the first."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        with FleetAggregator() as agg:
+            for _ in range(2):
+                with SweepRunner(mode="serial", cache=cache,
+                                 fleet=agg.ingest_address) as runner:
+                    runner.run(SPECS)
+            store = agg.store
+            assert wait_until(lambda: all(
+                getattr(store.registry.job(s.content_hash()),
+                        "from_cache", False)
+                for s in SPECS
+            ))
+            totals = store.publishers_summary()["totals"]
+            assert totals["publishers"] == 2
+            assert totals["duplicates"] == 0
+
     def test_fleet_does_not_flip_supervised_mode(self):
         runner = SweepRunner(fleet="127.0.0.1:9")
         assert not runner.supervised
