@@ -21,6 +21,7 @@ from repro.cluster import run_job
 from repro.core import EventSignature, IpmConfig, PerfHashTable
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.cuda.memory import HostRef
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -42,7 +43,7 @@ FEATURE_LEVELS = [
 def _feature_costs():
     out = []
     for label, cfg in FEATURE_LEVELS:
-        res = run_job(repeated_square, 1, seed=8, ipm_config=cfg)
+        res = run_job(JobSpec(app=repeated_square, ntasks=1, seed=8, ipm=cfg))
         overhead = 0.0
         if res.report is not None:
             pass
@@ -138,8 +139,8 @@ def direct_workload(env):
 @pytest.mark.benchmark(group="ablation")
 def test_thunking_vs_direct(benchmark):
     def run():
-        thunk = run_job(thunking_workload, 1, seed=9)
-        direct = run_job(direct_workload, 1, seed=9)
+        thunk = run_job(JobSpec(app=thunking_workload, ntasks=1, seed=9))
+        direct = run_job(JobSpec(app=direct_workload, ntasks=1, seed=9))
         return thunk.results[0], direct.results[0]
 
     thunk_t, direct_t = once(benchmark, run)

@@ -16,6 +16,7 @@ from repro.cluster import run_job
 from repro.core import IpmConfig
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.cuda.memory import HostRef
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -53,9 +54,10 @@ def launch_heavy_app(n_bursts: int, burst: int = 40, polls: int = 200):
 
 def _measure(policy: str, n_bursts: int):
     app = launch_heavy_app(n_bursts)
-    plain = run_job(app, 1, seed=6)
-    mon = run_job(app, 1, seed=6,
-                  ipm_config=IpmConfig(ktt_policy=policy))
+    plain = run_job(JobSpec(app=app, ntasks=1, seed=6))
+    mon = run_job(JobSpec(
+        app=app, ntasks=1, seed=6, ipm=IpmConfig(ktt_policy=policy),
+    ))
     dilatation = (mon.wallclock - plain.wallclock) / plain.wallclock
     return plain.wallclock, mon.wallclock, dilatation
 

@@ -25,6 +25,7 @@ from repro.analysis import EnsembleStats, format_table
 from repro.apps.hpl import HplConfig, hpl_app
 from repro.cluster import make_dirac, run_job
 from repro.simt import NoiseConfig
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -52,8 +53,10 @@ def _ensemble(noise: NoiseConfig):
         sim = Simulator()
         cluster = make_dirac(sim, n_nodes=4, seed=0)
         walls.append(
-            run_job(lambda env: hpl_app(env, cfg), 4, noise=noise,
-                    cluster=cluster, seed=3000 + i).wallclock
+            run_job(JobSpec(
+                app=lambda env: hpl_app(env, cfg), ntasks=4, noise=noise,
+                seed=3000 + i,
+            ), cluster=cluster).wallclock
         )
     return EnsembleStats.of(walls)
 

@@ -19,6 +19,7 @@ from repro.analysis import Comparison, ScalingPoint, format_comparisons, format_
 from repro.apps.paratec import ParatecConfig, paratec_app
 from repro.cluster import run_job
 from repro.core import IpmConfig
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -27,11 +28,11 @@ CATEGORIES = ["MPI", "CUBLAS", "MPI_Allreduce", "MPI_Wait", "MPI_Gather",
 
 
 def _measure(nprocs: int, blas: str) -> ScalingPoint:
-    res = run_job(
-        lambda env: paratec_app(env, blas=blas), nprocs,
+    res = run_job(JobSpec(
+        app=lambda env: paratec_app(env, blas=blas), ntasks=nprocs,
         command=f"paratec.{blas}", ranks_per_node=max(1, nprocs // 32),
-        n_nodes=32, ipm_config=IpmConfig(), seed=2,
-    )
+        n_nodes=32, ipm=IpmConfig(), seed=2,
+    ))
     job = res.report
     by = job.merged_by_name()
     breakdown = {

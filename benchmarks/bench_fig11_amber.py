@@ -24,6 +24,7 @@ from repro.cluster import run_job
 from repro.core import IpmConfig, banner_parallel, metrics
 from repro.cuda.costmodel import GpuTimingModel
 from repro.simt import NoiseConfig
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -32,14 +33,13 @@ def _run():
     gpu_timing = GpuTimingModel()
     gpu_timing.device_enum_time = 0.5225
     gpu_timing.context_init_sigma = 0.01
-    return run_job(
-        lambda env: amber_app(env, AmberConfig()), 16,
-        command="pmemd.cuda.MPI -O -i mdin -c inpcrd.equil",
-        ipm_config=IpmConfig(), gpu_timing=gpu_timing,
+    return run_job(JobSpec(
+        app=lambda env: amber_app(env, AmberConfig()), ntasks=16,
+        command="pmemd.cuda.MPI -O -i mdin -c inpcrd.equil", ipm=IpmConfig(),
         noise=NoiseConfig(jitter_mean=0.001, daemon_rate=0.02,
                           daemon_mean=0.002),
         seed=4,
-    )
+    ), gpu_timing=gpu_timing)
 
 
 @pytest.mark.benchmark(group="fig11")

@@ -50,7 +50,7 @@ import sys
 import time
 from typing import Dict
 
-from repro.core import Ipm, IpmConfig, table_backend
+from repro.core import Ipm, IpmConfig
 from repro.core.wrapper_gen import WrapperHooks, generate_wrappers
 from repro.simt import Simulator
 
@@ -217,7 +217,6 @@ def run_overhead_bench(events: int = 300_000, warmup: int = 2_000) -> Dict:
         "latency_p50_us": round(p50, 4),
         "latency_p99_us": round(p99, 4),
         "latency_samples": lat_samples,
-        "slab_backend": table_backend(),
         "telemetry_events_per_sec": round(telemetry, 1),
         "telemetry_overhead_us_per_event": round(
             (1.0 / telemetry - 1.0 / inactive) * 1e6, 4
@@ -255,7 +254,6 @@ def format_result(result: Dict) -> str:
         f"latency p50/p99 [us]   : {result['latency_p50_us']:12.4f}"
         f" / {result['latency_p99_us']:.4f}"
         f"  ({result['latency_samples']} samples)",
-        f"table backend          : {result['slab_backend']:>12}",
         f"telemetry  [events/s]  : {result['telemetry_events_per_sec']:12.0f}"
         f"  ({result['telemetry_ticks']} sampler ticks)",
         f"telemetry overhead [us]: "

@@ -17,6 +17,7 @@ from repro.analysis import Comparison, format_comparisons, format_table
 from repro.apps.sdk import PAPER_TABLE1, SDK_BENCHMARKS
 from repro.cluster import run_job
 from repro.core import IpmConfig
+from repro.sweep import JobSpec
 
 from conftest import emit, once
 
@@ -24,8 +25,10 @@ from conftest import emit, once
 def _run_all():
     rows = {}
     for name, app in SDK_BENCHMARKS.items():
-        res = run_job(app, 1, command=name, ipm_config=IpmConfig(),
-                      cuda_profile=True, seed=42)
+        res = run_job(JobSpec(
+            app=app, ntasks=1, command=name, ipm=IpmConfig(),
+            cuda_profile=True, seed=42,
+        ))
         prof = res.profilers[0]
         rows[name] = {
             "invocations": prof.kernel_invocations(),

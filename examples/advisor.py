@@ -20,6 +20,7 @@ from repro.core.advisor import advise, format_findings
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.cuda.costmodel import GpuTimingModel
 from repro.cuda.memory import HostRef
+from repro.sweep import JobSpec
 
 K = cudaMemcpyKind
 
@@ -41,22 +42,24 @@ def main() -> None:
     gt.context_init_sigma = 0.01
 
     print("=== Amber (16 nodes, scaled) ===")
-    amber = run_job(lambda env: amber_app(env, AmberConfig(steps=60)), 16,
-                    command="pmemd.cuda.MPI", ipm_config=IpmConfig(),
-                    gpu_timing=gt, seed=4)
+    amber = run_job(JobSpec(
+        app=lambda env: amber_app(env, AmberConfig(steps=60)), ntasks=16,
+        command="pmemd.cuda.MPI", ipm=IpmConfig(), seed=4,
+    ), gpu_timing=gt)
     print(format_findings(advise(amber.report)))
 
     print("\n=== PARATEC with thunking CUBLAS (scaled) ===")
-    paratec = run_job(
-        lambda env: paratec_app(env, ParatecConfig.tiny()), 8,
-        command="paratec.cublas", ranks_per_node=2, ipm_config=IpmConfig(),
-        seed=2,
-    )
+    paratec = run_job(JobSpec(
+        app=lambda env: paratec_app(env, ParatecConfig.tiny()), ntasks=8,
+        command="paratec.cublas", ranks_per_node=2, ipm=IpmConfig(), seed=2,
+    ))
     print(format_findings(advise(paratec.report)))
 
     print("\n=== naive offload ===")
-    naive = run_job(naive_offload, 2, command="naive.x",
-                    ipm_config=IpmConfig(), seed=7)
+    naive = run_job(JobSpec(
+        app=naive_offload, ntasks=2, command="naive.x", ipm=IpmConfig(),
+        seed=7,
+    ))
     print(format_findings(advise(naive.report)))
 
 

@@ -13,6 +13,7 @@ from repro.cluster import run_job
 from repro.core import IpmConfig, banner_parallel, metrics
 from repro.cuda.costmodel import GpuTimingModel
 from repro.simt import NoiseConfig
+from repro.sweep import JobSpec
 
 
 def main() -> None:
@@ -20,16 +21,13 @@ def main() -> None:
     gpu_timing.device_enum_time = 0.5225   # busy-system device probing
     gpu_timing.context_init_sigma = 0.01   # warm, homogeneous driver state
     print("running pmemd.cuda.MPI (JAC DHFR) on 16 nodes...")
-    result = run_job(
-        lambda env: amber_app(env, AmberConfig(steps=150)),
-        ntasks=16,
-        command="pmemd.cuda.MPI -O -i mdin -c inpcrd.equil",
-        ipm_config=IpmConfig(),
-        gpu_timing=gpu_timing,
+    result = run_job(JobSpec(
+        app=lambda env: amber_app(env, AmberConfig(steps=150)), ntasks=16,
+        command="pmemd.cuda.MPI -O -i mdin -c inpcrd.equil", ipm=IpmConfig(),
         noise=NoiseConfig(jitter_mean=0.001, daemon_rate=0.02,
                           daemon_mean=0.002),
         seed=4,
-    )
+    ), gpu_timing=gpu_timing)
     job = result.report
     print(banner_parallel(job, top=14))
 

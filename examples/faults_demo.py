@@ -28,6 +28,7 @@ from repro.faults import (
     NodeSlowdownSpec,
     RankAbortSpec,
 )
+from repro.sweep import JobSpec
 from repro.telemetry.config import TelemetryConfig
 
 E = cudaError_t
@@ -35,14 +36,11 @@ E = cudaError_t
 
 def _run(faults, seed=11):
     tcfg = TelemetryConfig(enabled=True, interval=0.050, sinks=("memory",))
-    return run_job(
-        lambda env: hpl_app(env, HplConfig.tiny()),
-        2,
-        command="./xhpl.cuda",
-        ipm_config=IpmConfig(telemetry=tcfg),
-        seed=seed,
+    return run_job(JobSpec(
+        app=lambda env: hpl_app(env, HplConfig.tiny()), ntasks=2,
+        command="./xhpl.cuda", ipm=IpmConfig(telemetry=tcfg), seed=seed,
         faults=faults,
-    )
+    ))
 
 
 def main() -> None:

@@ -20,20 +20,17 @@ from repro.apps.hpl import HplConfig, hpl_app
 from repro.cluster import run_job
 from repro.core import IpmConfig, banner_parallel, metrics, parser, write_xml
 from repro.simt import NoiseConfig
+from repro.sweep import JobSpec
 
 OUT = os.path.dirname(os.path.abspath(__file__))
 
 
 def main() -> None:
     print("running CUDA HPL on 16 nodes (≈126 s of virtual time)...")
-    result = run_job(
-        lambda env: hpl_app(env, HplConfig.paper_16rank()),
-        ntasks=16,
-        command="./xhpl.cuda",
-        ipm_config=IpmConfig(),
-        noise=NoiseConfig(),
-        seed=1,
-    )
+    result = run_job(JobSpec(
+        app=lambda env: hpl_app(env, HplConfig.paper_16rank()), ntasks=16,
+        command="./xhpl.cuda", ipm=IpmConfig(), noise=NoiseConfig(), seed=1,
+    ))
     job = result.report
     print(banner_parallel(job, top=12))
 

@@ -16,6 +16,7 @@ overlap" the paper's method exposes.
 from repro.apps.square import SquareConfig, square_app
 from repro.cluster import run_job
 from repro.core import IpmConfig, banner_serial
+from repro.sweep import JobSpec
 
 LEVELS = [
     ("Fig. 4 — host-side timing only",
@@ -29,22 +30,21 @@ LEVELS = [
 
 def main() -> None:
     for title, config in LEVELS:
-        result = run_job(
-            lambda env: square_app(env, SquareConfig()),
-            ntasks=1,
-            command="./cuda.ipm",
-            ipm_config=config,
-            seed=15,
-        )
+        result = run_job(JobSpec(
+            app=lambda env: square_app(env, SquareConfig()), ntasks=1,
+            command="./cuda.ipm", ipm=config, seed=15,
+        ))
         print(f"\n=== {title} ===")
         print(banner_serial(result.report.tasks[0]))
 
     # end-to-end data check: the kernel really squares the array
-    verified = run_job(
-        lambda env: square_app(env, SquareConfig(n=1024, repeat=2, verify=True)),
+    verified = run_job(JobSpec(
+        app=lambda env: square_app(
+            env, SquareConfig(n=1024, repeat=2, verify=True)
+        ),
         ntasks=1,
         seed=15,
-    )
+    ))
     print(f"\ndata verification: square(1024) round-trip OK, "
           f"last element = {verified.results[0]:.0f}")
 

@@ -14,6 +14,7 @@ from repro.cluster import run_job
 from repro.core import IpmConfig, metrics
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.cuda.memory import HostRef
+from repro.sweep import JobSpec
 
 K = cudaMemcpyKind
 
@@ -35,11 +36,10 @@ def rank_program(env):
 
 
 def run(ranks_per_node: int):
-    return run_job(
-        rank_program, ntasks=8, ranks_per_node=ranks_per_node,
-        command=f"stencil.x ({ranks_per_node}/GPU)",
-        ipm_config=IpmConfig(), seed=3,
-    )
+    return run_job(JobSpec(
+        app=rank_program, ntasks=8, ranks_per_node=ranks_per_node,
+        command=f"stencil.x ({ranks_per_node}/GPU)", ipm=IpmConfig(), seed=3,
+    ))
 
 
 def main() -> None:

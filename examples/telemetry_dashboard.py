@@ -19,6 +19,7 @@ import sys
 from repro.apps.hpl import HplConfig, hpl_app
 from repro.cluster import run_job
 from repro.core import IpmConfig
+from repro.sweep import JobSpec
 from repro.telemetry import TelemetryConfig, write_chrome_trace
 
 _TICKS = " ▁▂▃▄▅▆▇█"
@@ -44,12 +45,10 @@ def main() -> int:
 
     # 4 ranks on 2 nodes — two ranks share each node's GPU, so the
     # utilization series show real contention
-    result = run_job(
-        lambda env: hpl_app(env, HplConfig.tiny()),
-        4,
-        command="./xhpl.cuda",
-        ranks_per_node=2,
-        ipm_config=IpmConfig(
+    result = run_job(JobSpec(
+        app=lambda env: hpl_app(env, HplConfig.tiny()), ntasks=4,
+        command="./xhpl.cuda", ranks_per_node=2,
+        ipm=IpmConfig(
             trace_capacity=65536,
             telemetry=TelemetryConfig(
                 enabled=True,
@@ -60,7 +59,7 @@ def main() -> int:
             ),
         ),
         seed=11,
-    )
+    ))
     hub = result.telemetry
     store = hub.store
 

@@ -12,6 +12,7 @@ from repro.apps.square import SquareConfig, square_app
 from repro.cluster import run_job
 from repro.core import IpmConfig
 from repro.core.trace import render_timeline
+from repro.sweep import JobSpec
 
 
 def main() -> None:
@@ -23,9 +24,10 @@ def main() -> None:
 
     # host-idle separation off so the blocking memcpy's traced window
     # shows the raw implicit wait (the thing Fig. 7 explains)
-    run_job(app, 1, command="./cuda.ipm",
-            ipm_config=IpmConfig(trace_capacity=256, host_idle=False),
-            seed=15)
+    run_job(JobSpec(
+        app=app, ntasks=1, command="./cuda.ipm",
+        ipm=IpmConfig(trace_capacity=256, host_idle=False), seed=15,
+    ))
     trace = captured[0].trace
     # drop context creation so the interesting part fills the width
     records = [r for r in trace.records() if r.name != "cudaMalloc"]

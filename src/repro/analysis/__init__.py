@@ -18,11 +18,7 @@ One public API over what used to be ad-hoc helpers:
   :func:`compare_ensembles`, :func:`scaling_series`,
   :func:`scaling_speedups`, :func:`ascii_histogram`,
   :func:`format_comparisons` — the canonical forms of the original
-  Fig. 8 / Fig. 10 utilities.  The old names (``ensemble_stats``,
-  ``sweep_scaling``, ``speedup``) still work but raise
-  ``DeprecationWarning``; :data:`LEGACY_HELPER_TO_API` maps each to
-  its replacement (mirroring the PR 4
-  ``LEGACY_KWARG_TO_SPEC_FIELD`` convention).
+  Fig. 8 / Fig. 10 utilities.
 """
 
 from repro.analysis.findings import (
@@ -61,26 +57,14 @@ from repro.analysis.histogram import (
     EnsembleStats,
     ascii_histogram,
     compare_ensembles,
-    ensemble_stats,
 )
 from repro.analysis.scaling import (
     ScalingPoint,
     format_scaling,
     scaling_series,
     scaling_speedups,
-    speedup,
-    sweep_scaling,
 )
 from repro.analysis.compare import Comparison, format_comparisons
-
-#: deprecated helper -> its stable replacement (the analysis-surface
-#: analogue of the PR 4 ``LEGACY_KWARG_TO_SPEC_FIELD`` table; each old
-#: name keeps working behind a ``DeprecationWarning`` shim).
-LEGACY_HELPER_TO_API = {
-    "ensemble_stats": "compare_ensembles",
-    "sweep_scaling": "scaling_series",
-    "speedup": "scaling_speedups",
-}
 
 # the helper result dataclasses share the engine's JSON envelope.
 for _cls in (EnsembleStats, EnsembleComparison, ScalingPoint, Comparison):
@@ -94,7 +78,6 @@ __all__ = [
     "DELTA_VERDICTS",
     "FINDING_KINDS",
     "SEVERITIES",
-    "LEGACY_HELPER_TO_API",
     # result types
     "Comparison",
     "Diagnosis",
@@ -126,12 +109,8 @@ __all__ = [
     "format_scaling",
     "format_sweep_diagnosis",
     "format_table",
-    # figure/table helpers (canonical)
+    # figure/table helpers
     "compare_ensembles",
     "scaling_series",
     "scaling_speedups",
-    # deprecated shims (kept importable)
-    "ensemble_stats",
-    "speedup",
-    "sweep_scaling",
 ]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -57,24 +56,6 @@ def compare_ensembles(
     return EnsembleComparison(
         with_ipm=s_with, without_ipm=s_without, dilatation=dilatation,
     )
-
-
-def ensemble_stats(
-    with_ipm: Sequence[float], without_ipm: Sequence[float]
-) -> Tuple[EnsembleStats, EnsembleStats, float]:
-    """Deprecated: use :func:`compare_ensembles`.
-
-    Returns the old ``(stats_with, stats_without, dilatation)`` tuple.
-    """
-    warnings.warn(
-        "ensemble_stats() is deprecated; use "
-        "repro.analysis.compare_ensembles(), which returns an "
-        "EnsembleComparison",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    c = compare_ensembles(with_ipm, without_ipm)
-    return c.with_ipm, c.without_ipm, c.dilatation
 
 
 def ascii_histogram(

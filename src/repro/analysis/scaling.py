@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -56,19 +55,6 @@ def scaling_series(
     return tuple(sorted(points, key=lambda p: p.nprocs))
 
 
-def sweep_scaling(
-    sweep: "SweepReport", categories: Optional[List[str]] = None
-) -> List[ScalingPoint]:
-    """Deprecated: use :func:`scaling_series` (same series, as a tuple)."""
-    warnings.warn(
-        "sweep_scaling() is deprecated; use "
-        "repro.analysis.scaling_series(), which returns a tuple",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(scaling_series(sweep, categories))
-
-
 def format_scaling(
     points: Sequence[ScalingPoint], categories: Optional[List[str]] = None
 ) -> str:
@@ -100,12 +86,3 @@ def scaling_speedups(points: Sequence[ScalingPoint]) -> Dict[int, float]:
         p.nprocs: base / p.wallclock if p.wallclock > 0 else 0.0 for p in pts
     }
 
-
-def speedup(points: Sequence[ScalingPoint]) -> Dict[int, float]:
-    """Deprecated: use :func:`scaling_speedups`."""
-    warnings.warn(
-        "speedup() is deprecated; use repro.analysis.scaling_speedups()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scaling_speedups(points)

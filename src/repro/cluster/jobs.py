@@ -14,20 +14,17 @@
 * **IPM's job finalization** — collects the per-rank task reports into
   a :class:`JobReport` after the last rank exits.
 
-The canonical call is ``run_job(spec)`` with a
+The one call is ``run_job(spec)`` with a
 :class:`~repro.sweep.spec.JobSpec` — one frozen, hashable value that
 describes the whole job (and that the sweep runner can parallelize and
-content-address).  The historical kwargs signature
-``run_job(app, ntasks, ...)`` still works: it builds a ``JobSpec``
-internally and emits a :class:`DeprecationWarning`.
+content-address).
 """
 
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.spec import JobSpec
@@ -37,11 +34,11 @@ import numpy as np
 from repro.cluster.cluster import Cluster, make_dirac
 from repro.core.hostidle import blocking_wrapper_names, identify_blocking_calls
 from repro.errors import JobStalled
-from repro.core.ipm import Ipm, IpmConfig
+from repro.core.ipm import Ipm
 from repro.core.report import JobReport
 from repro.cuda.driver import Driver
 from repro.cuda.runtime import Runtime
-from repro.faults import FaultInjector, FaultPlan, RankAborted
+from repro.faults import FaultInjector, RankAborted
 from repro.libs.blasref import HostBlas
 from repro.libs.cublas import Cublas
 from repro.libs.cufft import Cufft
@@ -114,47 +111,21 @@ class JobResult:
     faults: Optional[FaultInjector] = None
 
 
-#: kwargs of the deprecated signature and the JobSpec fields they map
-#: to (the README/EXPERIMENTS migration table is generated from this).
-LEGACY_KWARG_TO_SPEC_FIELD = {
-    "app": "app",
-    "ntasks": "ntasks",
-    "command": "command",
-    "n_nodes": "n_nodes",
-    "ranks_per_node": "ranks_per_node",
-    "ipm_config": "ipm",
-    "seed": "seed",
-    "noise": "noise",
-    "cuda_profile": "cuda_profile",
-    "faults": "faults",
-}
-
-
 def run_job(
-    app: "JobSpec | Callable[[ProcessEnv], Any]",
-    ntasks: Optional[int] = None,
+    spec: "JobSpec",
     *,
-    command: str = "./a.out",
     cluster: Optional[Cluster] = None,
-    n_nodes: Optional[int] = None,
-    ranks_per_node: int = 1,
-    ipm_config: Optional[IpmConfig] = None,
-    seed: int = 0,
-    noise: Optional[NoiseConfig] = None,
-    cuda_profile: bool = False,
     gpu_timing: Optional[Any] = None,
-    faults: Optional[FaultPlan] = None,
     liveness: Optional[LivenessLimits] = None,
     extra_sinks: Optional[Sequence[Any]] = None,
 ) -> JobResult:
-    """Run one simulated job described by a :class:`JobSpec`.
-
-    Canonical form::
+    """Run one simulated job described by a :class:`JobSpec`::
 
         run_job(JobSpec(app="hpl", ntasks=16, ipm=IpmConfig(), seed=1))
 
     ``spec.ipm=None`` runs unmonitored; otherwise IPM is preloaded
-    into every rank and a :class:`JobReport` is produced.
+    into every rank and a :class:`JobReport` is produced.  An in-process
+    ``app(env)`` callable runs through ``JobSpec(app=<callable>, ...)``.
 
     ``cluster``, ``gpu_timing``, ``liveness`` and ``extra_sinks`` are
     runtime-only extras that stay *outside* the spec (they carry live
@@ -177,90 +148,28 @@ def run_job(
     crash the job: the runner records them, lets surviving ranks run
     (or stall), and degrades to a *partial* :class:`JobReport` with
     per-rank ``status`` — telemetry is flushed either way.
-
-    The pre-JobSpec signature ``run_job(app, ntasks, command=...,
-    ipm_config=..., ...)`` is deprecated but fully supported: it builds
-    the equivalent ``JobSpec`` internally (see
-    :data:`LEGACY_KWARG_TO_SPEC_FIELD`) and emits a
-    ``DeprecationWarning``.
     """
     from repro.sweep.spec import JobSpec
 
-    if isinstance(app, JobSpec):
-        spec = app
-        legacy = {
-            "ntasks": (ntasks, None),
-            "command": (command, "./a.out"),
-            "n_nodes": (n_nodes, None),
-            "ranks_per_node": (ranks_per_node, 1),
-            "ipm_config": (ipm_config, None),
-            "seed": (seed, 0),
-            "noise": (noise, None),
-            "cuda_profile": (cuda_profile, False),
-            "faults": (faults, None),
-        }
-        clashes = [k for k, (v, default) in legacy.items() if v != default]
-        if clashes:
-            raise TypeError(
-                f"run_job(spec) got legacy kwargs {clashes} — set the "
-                "corresponding JobSpec fields instead "
-                "(see LEGACY_KWARG_TO_SPEC_FIELD)"
-            )
-    else:
-        if ntasks is None:
-            raise TypeError(
-                "run_job(app, ...) needs ntasks (or pass a JobSpec)"
-            )
-        warnings.warn(
-            "run_job(app, ntasks, ...) is deprecated; build a "
-            "repro.JobSpec and call run_job(spec) "
-            "(see LEGACY_KWARG_TO_SPEC_FIELD for the field mapping)",
-            DeprecationWarning,
-            stacklevel=2,
+    if not isinstance(spec, JobSpec):
+        raise TypeError(
+            f"run_job() takes a JobSpec, got {type(spec).__name__}; "
+            "describe the job as repro.JobSpec(app=..., ntasks=...)"
         )
-        spec = JobSpec(
-            app=app,
-            ntasks=ntasks,
-            command=command,
-            n_nodes=n_nodes,
-            ranks_per_node=ranks_per_node,
-            ipm=ipm_config,
-            seed=seed,
-            noise=noise,
-            cuda_profile=cuda_profile,
-            faults=faults,
-        )
-    return _run_spec(
-        spec, cluster=cluster, gpu_timing=gpu_timing, liveness=liveness,
-        extra_sinks=extra_sinks,
-    )
-
-
-def _run_spec(
-    spec: "JobSpec",
-    cluster: Optional[Cluster] = None,
-    gpu_timing: Optional[Any] = None,
-    liveness: Optional[LivenessLimits] = None,
-    extra_sinks: Optional[Sequence[Any]] = None,
-) -> JobResult:
-    """Execute one :class:`JobSpec` (the mpirun+loader machinery)."""
     app = spec.build_app()
     ntasks = spec.ntasks
     command = spec.command
-    n_nodes = spec.n_nodes
     ranks_per_node = spec.ranks_per_node
     ipm_config = spec.ipm
     seed = spec.seed
-    noise = spec.noise
-    cuda_profile = spec.cuda_profile
-    faults = spec.faults
     t_host0 = _time.perf_counter()
     streams = RngStreams(seed)
     if cluster is None:
         sim = Simulator(liveness=liveness)
         needed = (ntasks + ranks_per_node - 1) // ranks_per_node
         cluster = make_dirac(
-            sim, n_nodes=max(needed, n_nodes or 0), seed=seed, gpu_timing=gpu_timing
+            sim, n_nodes=max(needed, spec.n_nodes or 0), seed=seed,
+            gpu_timing=gpu_timing,
         )
     else:
         sim = cluster.sim
@@ -271,7 +180,7 @@ def _run_spec(
     ]
     network = Network(sim, cluster.network_model, ranks_per_node=ranks_per_node)
     world = CommWorld(sim, ntasks, network, rank_to_node)
-    noise_cfg = noise or NoiseConfig(enabled=False)
+    noise_cfg = spec.noise or NoiseConfig(enabled=False)
     # run-level system state (throttling, placement, competing jobs) is
     # shared by all ranks of a job — the Fig. 8 histogram's width.
     job_bias = NoiseModel.draw_bias(streams.get("noise.jobbias"), noise_cfg)
@@ -282,7 +191,7 @@ def _run_spec(
         if ipm_config is not None and ipm_config.host_idle
         else set()
     )
-    plan = faults if faults is not None else (
+    plan = spec.faults if spec.faults is not None else (
         ipm_config.faults if ipm_config is not None else None
     )
     injector: Optional[FaultInjector] = None
@@ -331,7 +240,7 @@ def _run_spec(
             rfaults = injector.for_rank(rank, node.index)
             rt.faults = rfaults
         profiler = None
-        if cuda_profile:
+        if spec.cuda_profile:
             from repro.cuda.profiler import CudaProfiler
 
             profiler = CudaProfiler()

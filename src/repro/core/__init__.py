@@ -15,13 +15,7 @@ from repro.core.sig import (
     EventSignature,
     cuda_exec_name,
 )
-from repro.core.hashtable import (
-    CallStats,
-    ObjectPerfHashTable,
-    PerfHashTable,
-    make_table,
-    table_backend,
-)
+from repro.core.hashtable import CallStats, PerfHashTable
 from repro.core.overhead import OverheadConfig, OverheadModel
 from repro.core.wrapper_gen import InterposedAPI, WrapperHooks, generate_wrappers
 from repro.core.ktt import KernelRecord, KernelTimingTable, KttSlot
@@ -41,10 +35,7 @@ __all__ = [
     "EventSignature",
     "cuda_exec_name",
     "CallStats",
-    "ObjectPerfHashTable",
     "PerfHashTable",
-    "make_table",
-    "table_backend",
     "OverheadConfig",
     "OverheadModel",
     "InterposedAPI",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.core.hashtable import make_table
+from repro.core.hashtable import PerfHashTable
 from repro.core.ktt import KernelRecord, KernelTimingTable
 from repro.core.overhead import OverheadConfig, OverheadModel
 from repro.core.report import TaskReport
@@ -86,9 +86,8 @@ class Ipm:
         self.hostname = hostname
         self.command = command
         # Never reassigned: generated wrappers bind it at creation time.
-        self.table = make_table(self.config.hash_capacity)
-        self.overhead = OverheadModel(sim, self.config.overhead)
-        self.overhead.attach_table(self.table)
+        self.table = PerfHashTable(self.config.hash_capacity)
+        self.overhead = OverheadModel(sim, self.table, self.config.overhead)
         #: call-name → domain, for banner section totals.
         self.domains: Dict[str, str] = {}
         self.kernel_details: List[KernelRecord] = []

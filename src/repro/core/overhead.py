@@ -14,23 +14,23 @@ wrapper charges its bookkeeping cost to the host's virtual clock:
   the *real* runtime API and are charged by it (host_call_launch etc.),
   exactly like a real interposed library calling into CUDA.
 
-Wrapper-call accounting is *derived*, not accumulated: the slab-backed
-hash table counts every interposed event at its interned indexes, so
+Wrapper-call accounting is *derived*, not accumulated: the hash table
+counts every interposed event at its interned indexes, so
 :attr:`calls` and :attr:`charged` read those counts lazily instead of
-the wrappers writing two attributes per event.  Events invisible to
-the interned counts — failing calls (error-tagged signatures are never
-interned) and every event on the legacy object-backed table — are
-attributed explicitly via :meth:`count_call`.  Virtual-time sleeps
-still happen inline in the wrappers at the exact historical points, so
-simulated timelines are unchanged.
+the wrappers writing two attributes per event.  Failing calls
+(error-tagged signatures are never interned) are attributed
+explicitly via :meth:`count_call`.  Virtual-time sleeps still happen
+inline in the wrappers at the exact historical points, so simulated
+timelines are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.hashtable import PerfHashTable
     from repro.simt.simulator import Simulator
 
 
@@ -51,43 +51,36 @@ class OverheadConfig:
 class OverheadModel:
     """Charges monitoring costs to the calling process's clock."""
 
-    def __init__(self, sim: "Simulator", config: OverheadConfig | None = None):
+    def __init__(
+        self,
+        sim: "Simulator",
+        table: "PerfHashTable",
+        config: OverheadConfig | None = None,
+    ):
         self.sim = sim
         self.config = config or OverheadConfig()
         #: explicitly attributed monitoring time, seconds (ktt/hostidle
-        #: charges plus the per-call cost of non-interned events).
+        #: charges plus the per-call cost of error-path events).
         self._charged = 0.0
         self._calls = 0
         self._per_call = self.config.entry + self.config.exit
-        #: hash table whose interned ("hot") event counts stand in for
-        #: per-event call accounting; None falls back to explicit-only.
-        self._table: Optional[Any] = None
-
-    def attach_table(self, table: Any) -> None:
-        """Derive call accounting from ``table``'s interned counts."""
+        #: the rank's hash table; its interned ("hot") event counts
+        #: stand in for per-event call accounting.
         self._table = table
 
     @property
     def calls(self) -> int:
         """Wrapper invocations observed (derived + explicit)."""
-        table = self._table
-        n = self._calls
-        if table is not None:
-            n += table.hot_count()
-        return n
+        return self._calls + self._table.hot_count()
 
     @property
     def charged(self) -> float:
         """Total monitoring time injected, seconds."""
-        table = self._table
-        c = self._charged
-        if table is not None:
-            c += table.hot_count() * self._per_call
-        return c
+        return self._charged + self._table.hot_count() * self._per_call
 
     def count_call(self) -> None:
         """Attribute one wrapper call invisible to the interned counts
-        (error-path events; every event on the object-backed table)."""
+        (error-path events)."""
         self._calls += 1
         self._charged += self._per_call
 
@@ -95,14 +88,6 @@ class OverheadModel:
         self._charged += cost
         if self.sim.current is not None and cost > 0:
             self.sim.sleep(cost)
-
-    def charge_entry(self) -> None:
-        """Explicit entry charge (legacy API: counts the call too)."""
-        self._calls += 1
-        self._charge(self.config.entry)
-
-    def charge_exit(self) -> None:
-        self._charge(self.config.exit)
 
     def charge_ktt(self) -> None:
         self._charge(self.config.ktt)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.hashtable import CallStats, PerfHashTable, make_table
+from repro.core.hashtable import CallStats, PerfHashTable
 from repro.core.ktt import KernelRecord
 from repro.core.sig import CUDA_EXEC_PREFIX, CUDA_HOST_IDLE
 
@@ -122,7 +122,7 @@ class JobReport:
         """
         versions = tuple(t.table.version for t in self.tasks)
         if self._merged is None or versions != self._merged_versions:
-            merged = make_table(
+            merged = PerfHashTable(
                 max((t.table.capacity for t in self.tasks), default=8192)
             )
             for t in self.tasks:
@@ -132,9 +132,9 @@ class JobReport:
         return self._merged
 
     def __getstate__(self) -> Dict[str, object]:
-        # Drop the merged-table cache: it is derived state, and its
-        # version stamps are backend-specific — pickles must stay
-        # byte-identical whichever table backend produced the report.
+        # Drop the merged-table cache: it is derived state — pickles
+        # must stay byte-identical whether or not a report section was
+        # rendered (and the cache filled) before pickling.
         state = dict(self.__dict__)
         state["_merged"] = None
         state["_merged_versions"] = None

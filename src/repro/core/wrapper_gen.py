@@ -18,16 +18,16 @@ host-idle separation, and a *refiner* that augments the event
 signature with direction suffixes and byte counts.
 
 Each wrapper is *specialized at generation time* for its monitoring
-configuration.  Hook-free calls on the slab-backed table get a fused
-record path: the signature's flat slab index is cached per call site,
+configuration.  Hook-free calls get a fused record path: the
+signature's flat slab index in the hash table is cached per call site,
 so a steady-state event is a clock read, the real call, a second clock
 read, and four list writes — no ``CallStats`` object, no per-event
 telemetry call, no overhead-counter writes (call counts and charged
 time are derived lazily from the slab's interned counts; see
-``repro.core.overhead``).  Wrappers with hooks, tracing, fault checks,
-or the legacy object-backed table keep the fully general path, whose
-event ordering and virtual-time charging are bit-identical to the
-historical implementation.
+``repro.core.overhead``).  Wrappers with hooks, tracing or fault
+checks keep the fully general path, whose event ordering and
+virtual-time charging are bit-identical to the historical
+implementation.
 
 Two linkage styles are supported, as in the paper:
 
@@ -188,9 +188,6 @@ def _make_wrapper(
     #: chronological trace ring; created only in Ipm.__init__, so
     #: binding at wrapper-creation time is safe.
     trace = ipm.trace
-    #: slab backend → flat column indexes + derived overhead/telemetry
-    #: accounting; the object backend counts calls explicitly.
-    slab = hasattr(table, "intern")
     ocfg = overhead.config
     entry_cost = ocfg.entry
     exit_cost = ocfg.exit
@@ -213,7 +210,7 @@ def _make_wrapper(
         table address."""
         sig = EventSignature(name + suffix, ipm.current_region, nbytes)
         ipm.update(sig, duration, domain=domain)
-        idx = table.intern(sig) if slab else table.locate(sig)
+        idx = table.intern(sig)
         if refine is not None:
             cache[key] = (sig, idx)
         else:
@@ -258,8 +255,6 @@ def _make_wrapper(
                 table.update(sig, end - begin, interned[1])
             else:
                 sig = first_sight(suffix, nbytes, end - begin, key)
-            if not slab:
-                overhead.count_call()
         if trace is not None:
             from repro.core.trace import TraceRecord
 
@@ -272,8 +267,7 @@ def _make_wrapper(
         return result
 
     fast = (
-        slab
-        and pre is None
+        pre is None
         and post is None
         and trace is None
         and fault_check is None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Dict, Tuple
 
-from repro.core.hashtable import make_table
+from repro.core.hashtable import PerfHashTable
 from repro.core.ktt import KernelRecord
 from repro.core.report import JobReport, TaskReport
 from repro.core.sig import EventSignature
@@ -121,7 +121,7 @@ def xml_to_job(root: ET.Element) -> JobReport:
     tasks = []
     ntasks = int(root.get("ntasks", "1"))
     for task_el in root.findall("task"):
-        table = make_table()
+        table = PerfHashTable()
         for region_el in task_el.findall("region"):
             region = region_el.get("name", "ipm_main")
             for func in region_el.findall("func"):

@@ -10,7 +10,7 @@ channels, so the same seed + the same plan reproduces the same fault
 schedule byte-for-byte (and adding a plan to a job never perturbs the
 app/noise/timing streams).
 
-Plans are off by default: ``run_job(..., faults=None)`` (or a plan
+Plans are off by default: ``JobSpec(faults=None)`` (or a plan
 with ``enabled=False``) leaves every hook unset and the simulation
 byte-identical to an unfaulted run.
 """

@@ -77,6 +77,18 @@ def sample_header(
     return t, samples
 
 
+def json_float(value: Any) -> Optional[float]:
+    """A JSON number as a float; None for a non-number, and for an
+    integer too large for a float (``json.loads`` parses any number
+    of digits), which callers skip like any non-numeric value."""
+    if not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 class StatWindow:
     """Streaming count/sum/min/max/last over one value stream."""
 
@@ -240,8 +252,8 @@ class SampleWindowFolder:
                 if other is None:
                     continue
             else:
-                value = point.get("value")
-                if not isinstance(value, (int, float)):
+                value = json_float(point.get("value"))
+                if value is None:
                     continue
             labels = point.get("labels")
             key = (name, labels_key(labels))
@@ -254,7 +266,7 @@ class SampleWindowFolder:
             if is_agg:
                 entry[1].merge(other)
             else:
-                entry[1].observe(float(value), t)
+                entry[1].observe(value, t)
         return True
 
     def drain(self) -> List[Dict[str, Any]]:

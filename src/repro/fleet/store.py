@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 
 from repro.fleet.protocol import END_KINDS, START_KINDS, record_stamp
 from repro.fleet.registry import DEFAULT_STALE_AFTER, FleetRegistry
-from repro.fleet.rollup import RollupSet, StatWindow, sample_header
+from repro.fleet.rollup import RollupSet, StatWindow, json_float, sample_header
 from repro.telemetry.sinks import escape_label_value, format_value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -210,12 +210,11 @@ class FleetStore:
 
     def _fold(self, kind: Any, job: str, record: Dict[str, Any]) -> bool:
         self.records += 1
-        hts = record.get("hts")
-        if isinstance(hts, (int, float)) and not self._replaying:
+        hts = json_float(record.get("hts"))
+        if hts is not None and not self._replaying:
             # replayed records carry stale publisher stamps — folding
             # them would poison the measured live ingest lag.
-            self.lag.observe(max(0.0, self.clock() - float(hts)),
-                             self.clock())
+            self.lag.observe(max(0.0, self.clock() - hts), self.clock())
         if kind in START_KINDS:
             meta = record.get("meta")
             self.registry.job_started(
@@ -264,12 +263,9 @@ class FleetStore:
             if not isinstance(point, dict):
                 continue
             name = point.get("name")
-            value = point.get("value")
-            if not isinstance(name, str) or not isinstance(
-                value, (int, float)
-            ):
+            value = json_float(point.get("value"))
+            if not isinstance(name, str) or value is None:
                 continue
-            value = float(value)
             job_record.points += 1
             self.points += 1
             job_set.observe(name, t, value)

@@ -1,12 +1,11 @@
 """`JobSpec`: the declarative description of one simulated job.
 
-:func:`repro.cluster.jobs.run_job` historically took a loose bag of
-kwargs (app callable, ntasks, cluster shape, seed, IPM config, noise,
-faults, …).  A :class:`JobSpec` freezes that bag into one hashable,
-JSON-round-trippable value — *the* canonical job description:
+A :class:`JobSpec` freezes everything that describes one job (app,
+ntasks, cluster shape, seed, IPM config, noise, faults, …) into one
+hashable, JSON-round-trippable value — *the* job description:
 
-* ``run_job(spec)`` executes it (the old kwargs signature survives as
-  a deprecated shim that builds a ``JobSpec`` internally);
+* ``run_job(spec)`` executes it (:func:`repro.cluster.jobs.run_job`
+  takes nothing else);
 * :meth:`JobSpec.content_hash` content-addresses it, which is what the
   sweep result cache keys on;
 * :meth:`JobSpec.to_json` / :meth:`JobSpec.from_json` move it across
@@ -17,9 +16,10 @@ function of the spec, so ``spec -> JobReport`` is reproducible
 byte-for-byte and caching/parallelism cannot change results.
 
 The ``app`` field is normally a registry name (``"hpl"``, ``"square"``,
-…; see :mod:`repro.sweep.registry`).  A bare callable is accepted as an
-escape hatch so the deprecated shim can wrap legacy lambdas — such
-specs still run, but refuse to serialize or content-hash.
+…; see :mod:`repro.sweep.registry`).  A bare ``app(env)`` callable is
+accepted as the in-process escape hatch for workloads that are not
+registered (tests, examples, ad-hoc programs) — such specs run, but
+refuse to serialize or content-hash.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class JobSpec:
     """Everything needed to (re)run one job, and nothing else."""
 
     #: registry name of the workload (canonical) or a raw ``app(env)``
-    #: callable (legacy escape hatch: runnable, not serializable).
+    #: callable (in-process escape hatch: runnable, not serializable).
     app: Union[str, Callable[[Any], Any]]
     #: number of MPI ranks.
     ntasks: int

@@ -3,19 +3,16 @@
 import pytest
 
 from repro.analysis import (
-    LEGACY_HELPER_TO_API,
     Comparison,
     EnsembleStats,
     ScalingPoint,
     ascii_histogram,
     compare_ensembles,
-    ensemble_stats,
     format_comparisons,
     format_scaling,
     format_table,
     scaling_speedups,
 )
-from repro.analysis.scaling import speedup
 
 
 class TestTables:
@@ -81,42 +78,6 @@ class TestScaling:
         pts = [ScalingPoint(32, 1000.0), ScalingPoint(128, 250.0)]
         s = scaling_speedups(pts)
         assert s[32] == 1.0 and s[128] == 4.0
-
-
-class TestLegacyShims:
-    """The pre-consolidation names keep working behind warnings."""
-
-    def test_mapping_is_published(self):
-        assert LEGACY_HELPER_TO_API == {
-            "ensemble_stats": "compare_ensembles",
-            "sweep_scaling": "scaling_series",
-            "speedup": "scaling_speedups",
-        }
-
-    def test_ensemble_stats_shim_warns_and_keeps_tuple_shape(self):
-        with pytest.warns(DeprecationWarning, match="compare_ensembles"):
-            s_w, s_wo, d = ensemble_stats([101.0, 103.0], [100.0, 102.0])
-        assert isinstance(s_w, EnsembleStats)
-        assert d == pytest.approx(1.0 / 101.0)
-
-    def test_speedup_shim_warns_and_matches_canonical(self):
-        pts = [ScalingPoint(32, 1000.0), ScalingPoint(128, 250.0)]
-        with pytest.warns(DeprecationWarning, match="scaling_speedups"):
-            legacy = speedup(pts)
-        assert legacy == scaling_speedups(pts)
-
-    def test_sweep_scaling_shim_warns_and_returns_list(self):
-        from repro import IpmConfig, JobSpec
-        from repro.analysis import scaling_series, sweep_scaling
-        from repro.sweep import SweepRunner
-
-        report = SweepRunner(mode="serial").run(
-            [JobSpec(app="square", ntasks=1, ipm=IpmConfig())]
-        )
-        with pytest.warns(DeprecationWarning, match="scaling_series"):
-            legacy = sweep_scaling(report)
-        assert isinstance(legacy, list)
-        assert legacy == list(scaling_series(report))
 
 
 class TestCompare:

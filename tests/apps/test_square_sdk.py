@@ -6,14 +6,15 @@ from repro.apps.sdk import PAPER_TABLE1, SDK_BENCHMARKS
 from repro.apps.square import SquareConfig, square_app
 from repro.cluster import run_job
 from repro.core import IpmConfig
+from repro.sweep import JobSpec
 
 
 class TestSquare:
     def test_fig4_banner_rows(self):
-        res = run_job(
-            lambda env: square_app(env), 1, command="./cuda.ipm",
-            ipm_config=IpmConfig(kernel_timing=False, host_idle=False),
-        )
+        res = run_job(JobSpec(
+            app=lambda env: square_app(env), ntasks=1, command="./cuda.ipm",
+            ipm=IpmConfig(kernel_timing=False, host_idle=False),
+        ))
         by = res.report.merged_by_name()
         assert by["cudaSetupArgument"].count == 2
         assert by["cudaLaunch"].count == 1
@@ -23,8 +24,10 @@ class TestSquare:
         assert top == "cudaMalloc"
 
     def test_fig6_exec_and_idle_match(self):
-        res = run_job(lambda env: square_app(env), 1, command="./cuda.ipm",
-                      ipm_config=IpmConfig())
+        res = run_job(JobSpec(
+            app=lambda env: square_app(env), ntasks=1, command="./cuda.ipm",
+            ipm=IpmConfig(),
+        ))
         by = res.report.merged_by_name()
         exec_t = by["@CUDA_EXEC_STRM00"].total
         idle_t = by["@CUDA_HOST_IDLE"].total
@@ -33,7 +36,7 @@ class TestSquare:
 
     def test_verified_data_roundtrip(self):
         cfg = SquareConfig(n=512, repeat=2, verify=True)
-        res = run_job(lambda env: square_app(env, cfg), 1)
+        res = run_job(JobSpec(app=lambda env: square_app(env, cfg), ntasks=1))
         assert res.results[0] == float(512 * 512)
 
     def test_kernel_scales_with_problem(self):
@@ -46,14 +49,19 @@ class TestSquare:
 class TestSdkBenchmarks:
     @pytest.mark.parametrize("name", sorted(SDK_BENCHMARKS))
     def test_invocation_counts_match_table1(self, name):
-        res = run_job(SDK_BENCHMARKS[name], 1, command=name, cuda_profile=True)
+        res = run_job(JobSpec(
+            app=SDK_BENCHMARKS[name], ntasks=1, command=name,
+            cuda_profile=True,
+        ))
         prof = res.profilers[0]
         assert prof.kernel_invocations() == PAPER_TABLE1[name].invocations
 
     @pytest.mark.parametrize("name", sorted(SDK_BENCHMARKS))
     def test_profiler_total_near_paper(self, name):
-        res = run_job(SDK_BENCHMARKS[name], 1, command=name, cuda_profile=True,
-                      seed=9)
+        res = run_job(JobSpec(
+            app=SDK_BENCHMARKS[name], ntasks=1, command=name,
+            cuda_profile=True, seed=9,
+        ))
         prof_total = res.profilers[0].kernel_time_total()
         assert prof_total == pytest.approx(
             PAPER_TABLE1[name].profiler_seconds, rel=0.05
@@ -62,8 +70,10 @@ class TestSdkBenchmarks:
     @pytest.mark.parametrize("name", sorted(SDK_BENCHMARKS))
     def test_ipm_exceeds_profiler(self, name):
         """The Table I sign, per benchmark."""
-        res = run_job(SDK_BENCHMARKS[name], 1, command=name, cuda_profile=True,
-                      ipm_config=IpmConfig(), seed=5)
+        res = run_job(JobSpec(
+            app=SDK_BENCHMARKS[name], ntasks=1, command=name,
+            cuda_profile=True, ipm=IpmConfig(), seed=5,
+        ))
         ipm_total = res.report.tasks[0].gpu_exec_time()
         prof_total = res.profilers[0].kernel_time_total()
         assert ipm_total > prof_total
@@ -75,8 +85,10 @@ class TestSdkBenchmarks:
         relative difference than eigenvalues (17.8 ms kernels)."""
 
         def diff(name):
-            res = run_job(SDK_BENCHMARKS[name], 1, command=name,
-                          cuda_profile=True, ipm_config=IpmConfig(), seed=7)
+            res = run_job(JobSpec(
+                app=SDK_BENCHMARKS[name], ntasks=1, command=name,
+                cuda_profile=True, ipm=IpmConfig(), seed=7,
+            ))
             ipm_total = res.report.tasks[0].gpu_exec_time()
             prof_total = res.profilers[0].kernel_time_total()
             return (ipm_total - prof_total) / prof_total
@@ -86,8 +98,10 @@ class TestSdkBenchmarks:
     def test_concurrent_kernels_overlap(self):
         """concurrentKernels: 8 streams overlap — the device-side span
         of the clock_block kernels is ≈ 1/8 of their summed time."""
-        res = run_job(SDK_BENCHMARKS["concurrentKernels"], 1,
-                      command="concurrentKernels", cuda_profile=True)
+        res = run_job(JobSpec(
+            app=SDK_BENCHMARKS["concurrentKernels"], ntasks=1,
+            command="concurrentKernels", cuda_profile=True,
+        ))
         prof = res.profilers[0]
         blocks = [r for r in prof.kernel_records() if r.method == "clock_block"]
         assert len(blocks) == 8

@@ -8,6 +8,7 @@ from repro.core import IpmConfig
 from repro.cuda import Kernel, cudaError_t, cudaMemcpyKind
 from repro.libs import CublasStatus
 from repro.simt import ProcessCrashed, SimulationError
+from repro.sweep import JobSpec
 
 E = cudaError_t
 K = cudaMemcpyKind
@@ -21,7 +22,7 @@ class TestRankCrashes:
             env.mpi.MPI_Barrier()
 
         with pytest.raises(ProcessCrashed) as ei:
-            run_job(app, 4)
+            run_job(JobSpec(app=app, ntasks=4))
         assert "rank2" in str(ei.value)
         assert isinstance(ei.value.__cause__, RuntimeError)
 
@@ -35,7 +36,7 @@ class TestRankCrashes:
             env.mpi.MPI_Allreduce(1)
 
         with pytest.raises((ProcessCrashed, SimulationError)):
-            run_job(app, 3)
+            run_job(JobSpec(app=app, ntasks=3))
 
     def test_missing_recv_reports_deadlock_with_names(self):
         def app(env):
@@ -43,7 +44,7 @@ class TestRankCrashes:
                 env.mpi.MPI_Recv(source=1)  # nobody sends
 
         with pytest.raises(SimulationError, match="deadlock.*rank0"):
-            run_job(app, 2)
+            run_job(JobSpec(app=app, ntasks=2))
 
     def test_monitored_crash_still_propagates(self):
         def app(env):
@@ -51,7 +52,7 @@ class TestRankCrashes:
             raise KeyError("boom")
 
         with pytest.raises(ProcessCrashed):
-            run_job(app, 2, ipm_config=IpmConfig())
+            run_job(JobSpec(app=app, ntasks=2, ipm=IpmConfig()))
 
 
 class TestResourceFailures:
@@ -66,13 +67,13 @@ class TestResourceFailures:
             assert err == E.cudaSuccess
             env.rt.cudaFree(ptr)
 
-        run_job(app, 1)
+        run_job(JobSpec(app=app, ntasks=1))
 
     def test_oom_under_monitoring_records_the_failed_call(self):
         def app(env):
             env.rt.cudaMalloc(1 << 40)
 
-        res = run_job(app, 1, ipm_config=IpmConfig())
+        res = run_job(JobSpec(app=app, ntasks=1, ipm=IpmConfig()))
         by = res.report.merged_by_name()
         # failures are still events — recorded under the error-tagged
         # name, plus the @CUDA_ERROR accounting region
@@ -89,7 +90,7 @@ class TestResourceFailures:
             st = env.thunking.zgemm(20_000, 20_000, 20_000)
             assert st == CublasStatus.CUBLAS_STATUS_ALLOC_FAILED
 
-        res = run_job(app, 1)
+        res = run_job(JobSpec(app=app, ntasks=1))
         assert res.cluster.nodes[0].devices[0].memory.bytes_in_use == 0
 
     def test_double_free_is_an_error_code(self):
@@ -98,14 +99,14 @@ class TestResourceFailures:
             assert env.rt.cudaFree(ptr) == E.cudaSuccess
             assert env.rt.cudaFree(ptr) == E.cudaErrorInvalidDevicePointer
 
-        run_job(app, 1)
+        run_job(JobSpec(app=app, ntasks=1))
 
     def test_kernel_launch_failure_monitored(self):
         def app(env):
             env.rt.cudaConfigureCall(1, 1)
             assert env.rt.cudaLaunch("garbage") == E.cudaErrorLaunchFailure
 
-        res = run_job(app, 1, ipm_config=IpmConfig())
+        res = run_job(JobSpec(app=app, ntasks=1, ipm=IpmConfig()))
         by = res.report.merged_by_name()
         assert by["cudaLaunch(!cudaErrorLaunchFailure)"].count == 1
         # no phantom kernel timing was recorded
@@ -123,7 +124,9 @@ class TestMonitoringRobustness:
                           1, 1, stream=streams[i % 4])
             rt.cudaThreadSynchronize()
 
-        res = run_job(app, 1, ipm_config=IpmConfig(ktt_capacity=8))
+        res = run_job(JobSpec(
+            app=app, ntasks=1, ipm=IpmConfig(ktt_capacity=8),
+        ))
         # IPM stayed alive; kernels beyond the table were dropped,
         # everything else was drained at finalize
         by = res.report.merged_by_name()
@@ -137,7 +140,7 @@ class TestMonitoringRobustness:
             if env.rank == 0:
                 env.rt.cudaMalloc(64)
 
-        res = run_job(app, 2, ipm_config=IpmConfig())
+        res = run_job(JobSpec(app=app, ntasks=2, ipm=IpmConfig()))
         assert res.report.ntasks == 2
         assert len(res.report.tasks[1].table) == 0
 
@@ -149,8 +152,10 @@ class TestMonitoringRobustness:
                 env.rt.cudaMemcpy(host[: i % 16 + 1], ptr, i % 16 + 1,
                                   K.cudaMemcpyDeviceToHost)
 
-        res = run_job(app, 1, ipm_config=IpmConfig(hash_capacity=16,
-                                                   host_idle=False))
+        res = run_job(JobSpec(
+            app=app, ntasks=1,
+            ipm=IpmConfig(hash_capacity=16, host_idle=False),
+        ))
         task = res.report.tasks[0]
         assert task.table.overflowed > 0
         total = sum(s.count for _n, s in task.table.items())

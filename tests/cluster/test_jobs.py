@@ -7,6 +7,7 @@ from repro.cluster import Cluster, make_dirac, run_job
 from repro.core import IpmConfig
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.simt import NoiseConfig, Simulator
+from repro.sweep import JobSpec
 
 K = cudaMemcpyKind
 
@@ -51,13 +52,15 @@ def tiny_app(env):
 
 class TestRunJob:
     def test_unmonitored_run(self):
-        res = run_job(tiny_app, 4, command="tiny")
+        res = run_job(JobSpec(app=tiny_app, ntasks=4, command="tiny"))
         assert res.report is None
         assert res.results == [6, 6, 6, 6]
         assert res.wallclock > 0.06
 
     def test_monitored_run_produces_report(self):
-        res = run_job(tiny_app, 4, command="tiny", ipm_config=IpmConfig())
+        res = run_job(JobSpec(
+            app=tiny_app, ntasks=4, command="tiny", ipm=IpmConfig(),
+        ))
         job = res.report
         assert job is not None and job.ntasks == 4
         by = job.merged_by_name()
@@ -69,13 +72,17 @@ class TestRunJob:
         assert job.domains["cudaLaunch"] == "CUDA"
 
     def test_each_rank_has_own_host(self):
-        res = run_job(tiny_app, 4, command="tiny", ipm_config=IpmConfig())
+        res = run_job(JobSpec(
+            app=tiny_app, ntasks=4, command="tiny", ipm=IpmConfig(),
+        ))
         hosts = [t.hostname for t in res.report.tasks]
         assert hosts == ["dirac01", "dirac02", "dirac03", "dirac04"]
 
     def test_shared_gpu_mapping(self):
-        res = run_job(tiny_app, 4, command="tiny", ranks_per_node=4,
-                      ipm_config=IpmConfig())
+        res = run_job(JobSpec(
+            app=tiny_app, ntasks=4, command="tiny", ranks_per_node=4,
+            ipm=IpmConfig(),
+        ))
         hosts = {t.hostname for t in res.report.tasks}
         assert hosts == {"dirac01"}
         assert res.cluster.n_nodes == 1
@@ -91,22 +98,34 @@ class TestRunJob:
             env.rt.cudaThreadSynchronize()
             return env.sim.now - t0
 
-        exclusive = run_job(gpu_heavy, 4, ranks_per_node=1, command="x")
-        shared = run_job(gpu_heavy, 4, ranks_per_node=4, command="x")
+        exclusive = run_job(JobSpec(
+            app=gpu_heavy, ntasks=4, ranks_per_node=1, command="x",
+        ))
+        shared = run_job(JobSpec(
+            app=gpu_heavy, ntasks=4, ranks_per_node=4, command="x",
+        ))
         assert max(shared.results) > 3 * max(exclusive.results)
 
     def test_noise_changes_wallclock_between_seeds(self):
         def compute(env):
             env.hostcompute(1.0)
 
-        a = run_job(compute, 2, seed=1, noise=NoiseConfig())
-        b = run_job(compute, 2, seed=2, noise=NoiseConfig())
+        a = run_job(JobSpec(
+            app=compute, ntasks=2, seed=1, noise=NoiseConfig(),
+        ))
+        b = run_job(JobSpec(
+            app=compute, ntasks=2, seed=2, noise=NoiseConfig(),
+        ))
         assert a.wallclock != b.wallclock
         assert a.wallclock > 1.0 and b.wallclock > 1.0
 
     def test_determinism_same_seed(self):
-        a = run_job(tiny_app, 4, seed=7, noise=NoiseConfig())
-        b = run_job(tiny_app, 4, seed=7, noise=NoiseConfig())
+        a = run_job(JobSpec(
+            app=tiny_app, ntasks=4, seed=7, noise=NoiseConfig(),
+        ))
+        b = run_job(JobSpec(
+            app=tiny_app, ntasks=4, seed=7, noise=NoiseConfig(),
+        ))
         assert a.wallclock == b.wallclock
         assert a.events_executed == b.events_executed
 
@@ -121,8 +140,10 @@ class TestRunJob:
                 env.rt.cudaMemcpy(host, ptr, 8000, K.cudaMemcpyDeviceToHost)
             env.mpi.MPI_Barrier()
 
-        plain = run_job(app, 2, seed=3)
-        monitored = run_job(app, 2, seed=3, ipm_config=IpmConfig())
+        plain = run_job(JobSpec(app=app, ntasks=2, seed=3))
+        monitored = run_job(JobSpec(
+            app=app, ntasks=2, seed=3, ipm=IpmConfig(),
+        ))
         dilatation = (monitored.wallclock - plain.wallclock) / plain.wallclock
         assert 0.0 < dilatation < 0.01
 
@@ -130,12 +151,12 @@ class TestRunJob:
         def staggered(env):
             env.sim.sleep(float(env.rank))
 
-        res = run_job(staggered, 3, ipm_config=IpmConfig())
+        res = run_job(JobSpec(app=staggered, ntasks=3, ipm=IpmConfig()))
         walls = [t.wallclock for t in res.report.tasks]
         assert walls[0] < walls[1] < walls[2]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            run_job(tiny_app, 0)
+            run_job(JobSpec(app=tiny_app, ntasks=0))
         with pytest.raises(ValueError):
-            run_job(tiny_app, 2, ranks_per_node=0)
+            run_job(JobSpec(app=tiny_app, ntasks=2, ranks_per_node=0))

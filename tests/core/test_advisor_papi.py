@@ -148,11 +148,14 @@ class TestAdvisorOnRealProfiles:
         """The advisor rediscovers the paper's own §IV-E recommendation."""
         from repro.apps.amber import AmberConfig, amber_app
         from repro.cluster import run_job
+        from repro.sweep import JobSpec
 
         gt = GpuTimingModel()
         gt.context_init_sigma = 0.01
-        res = run_job(lambda env: amber_app(env, AmberConfig(steps=20)), 4,
-                      ipm_config=IpmConfig(), gpu_timing=gt)
+        res = run_job(JobSpec(
+            app=lambda env: amber_app(env, AmberConfig(steps=20)), ntasks=4,
+            ipm=IpmConfig(),
+        ), gpu_timing=gt)
         findings = advise(res.report)
         assert any(f.rule == "sync-wait" for f in findings)
         assert any(f.rule == "kernel-imbalance" for f in findings)
@@ -161,20 +164,24 @@ class TestAdvisorOnRealProfiles:
         """…and the §IV-D recommendation for PARATEC."""
         from repro.apps.paratec import ParatecConfig, paratec_app
         from repro.cluster import run_job
+        from repro.sweep import JobSpec
 
-        res = run_job(
-            lambda env: paratec_app(env, ParatecConfig.tiny()), 4,
-            ipm_config=IpmConfig(),
-        )
+        res = run_job(JobSpec(
+            app=lambda env: paratec_app(env, ParatecConfig.tiny()), ntasks=4,
+            ipm=IpmConfig(),
+        ))
         findings = advise(res.report)
         assert any(f.rule == "thunking-transfers" for f in findings)
 
     def test_hpl_profile_is_mostly_clean(self):
         from repro.apps.hpl import HplConfig, hpl_app
         from repro.cluster import run_job
+        from repro.sweep import JobSpec
 
-        res = run_job(lambda env: hpl_app(env, HplConfig.tiny()), 4,
-                      ipm_config=IpmConfig())
+        res = run_job(JobSpec(
+            app=lambda env: hpl_app(env, HplConfig.tiny()), ntasks=4,
+            ipm=IpmConfig(),
+        ))
         findings = advise(res.report)
         assert not any(f.rule == "host-idle" for f in findings)
         assert not any(f.rule == "thunking-transfers" for f in findings)

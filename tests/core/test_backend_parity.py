@@ -1,63 +1,81 @@
-"""Slab vs. object table backends: byte-identical reports, by property.
+"""The slab table against its object-per-slot oracle, by property.
 
-The slab-backed :class:`~repro.core.hashtable.PerfHashTable` is a pure
-performance representation change — every observable (CallStats views,
-iteration order, merge results, pickles, XML) must match the legacy
-object-backed table exactly.  These tests drive *randomized* event
-streams (seeded, so failures reproduce) through the real wrapper
-generator under both backends and require the resulting
-:class:`~repro.core.report.JobReport` pickles to be byte-identical.
-
-The object backend is selected the same way users select it: the
-``IPM_REPRO_TABLE=object`` escape hatch read by
-:func:`~repro.core.hashtable.make_table` at Ipm construction time.
+The columnar :class:`~repro.core.hashtable.PerfHashTable` records
+events through the wrapper generator's fused fast paths (cached slab
+indexes, hinted updates, interned hot counts).  These tests drive
+*randomized* event streams (seeded, so failures reproduce) through the
+real generated wrappers.  The fake library logs every call it serves —
+signature, ``begin`` and ``end`` — and the test folds that log into the
+straightforward :class:`~tests.core.object_table.ObjectPerfHashTable`
+oracle.  The monitored table must pickle to the oracle's bytes, and so
+must the report built around it.
 """
 
-import os
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core import Ipm, IpmConfig, table_backend
+from repro.core import EventSignature, Ipm, IpmConfig
 from repro.core.report import JobReport
 from repro.core.wrapper_gen import WrapperHooks, generate_wrappers
 from repro.simt import Simulator
 from repro.sweep.cache import pickle_report
+from tests.core.object_table import ObjectPerfHashTable
 
 
 class StreamApi:
-    """A fake library whose calls burn virtual time and move bytes."""
+    """A fake library whose calls burn virtual time and move bytes.
 
-    def __init__(self, sim):
+    Each call appends ``(signature, begin, end)`` to :attr:`log`, with
+    the signature the monitor should record for it.
+    """
+
+    def __init__(self, sim, ipm):
         self.sim = sim
+        self.ipm = ipm
+        self.log = []
 
-    def _work(self, seconds):
-        if seconds > 0 and self.sim.current is not None:
-            self.sim.sleep(seconds)
+    def _work(self, name, seconds, nbytes=None):
+        begin = self.sim.now
+        if seconds > 0:
+            if self.sim.current is not None:
+                self.sim.sleep(seconds)
+            else:  # outside a process: no one to put to sleep
+                self.sim.clock.advance_to(begin + seconds)
+        sig = EventSignature(name, self.ipm.current_region, nbytes)
+        self.log.append((sig, begin, self.sim.now))
 
     def alpha(self, seconds):
-        self._work(seconds)
+        self._work("alpha", seconds)
         return 0
 
     def beta(self, seconds, tag=None):
-        self._work(seconds)
+        self._work("beta", seconds)
         return tag
 
     def send(self, nbytes, direction, seconds):
-        self._work(seconds)
+        self._work(f"send({direction})", seconds, nbytes)
         return nbytes
 
 
-def _run_stream(seed: int, events: int = 300) -> bytes:
-    """One randomized monitored run -> pickled JobReport bytes.
+def _run_stream(seed: int, events: int = 300, capacity: int = 8192):
+    """One randomized monitored run -> (report, call log).
 
     The stream mixes plain calls, kwargs calls, refined calls (suffix +
-    byte count, several distinct signatures) and region transitions —
-    jointly covering every wrapper variant the generator emits.
+    byte count, several distinct signatures) through both the kwargs
+    and the ``*args``-only wrapper variants, and region transitions,
+    first outside and then inside a simulated process — jointly
+    covering every wrapper variant the generator emits.
     """
     sim = Simulator()
-    ipm = Ipm(sim, config=IpmConfig(host_idle=False), blocking_calls=set())
-    api = StreamApi(sim)
+    ipm = Ipm(
+        sim,
+        config=IpmConfig(host_idle=False, hash_capacity=capacity),
+        blocking_calls=set(),
+    )
+    api = StreamApi(sim, ipm)
     hooks = {
         "send": WrapperHooks(
             refine=lambda a, k, r: (f"({a[1]})", a[0]),
@@ -66,21 +84,29 @@ def _run_stream(seed: int, events: int = 300) -> bytes:
     proxy = generate_wrappers(
         ipm, api, ["alpha", "beta", "send"], domain="FAKE", hooks=hooks
     )
+    # the cheaper *args-only variants, over the same table
+    positional = generate_wrappers(
+        ipm, api, ["alpha", "send"], domain="FAKE", hooks=hooks,
+        pass_kwargs=False,
+    )
     rng = random.Random(seed)
+    depth = 0
 
-    def body():
-        depth = 0
-        for _ in range(events):
+    def body(n):
+        nonlocal depth
+        for _ in range(n):
             op = rng.randrange(10)
             dur = rng.choice((0.0, 1e-4, 2e-4, 5e-4))
-            if op < 4:
+            if op < 2:
                 proxy.alpha(dur)
+            elif op < 4:
+                positional.alpha(dur)
             elif op < 6:
                 proxy.beta(dur)
             elif op < 7:
                 proxy.beta(dur, tag=rng.randrange(3))
             elif op < 9:
-                proxy.send(
+                (proxy if op < 8 else positional).send(
                     rng.choice((64, 4096, 1 << 20)),
                     rng.choice(("H2D", "D2H")),
                     dur,
@@ -91,12 +117,15 @@ def _run_stream(seed: int, events: int = 300) -> bytes:
             elif depth:
                 ipm.region_exit()
                 depth = 0
-        while depth:
-            ipm.region_exit()
-            depth -= 1
 
-    sim.spawn(body)
+    # outside a simulated process the wrappers take their fused record
+    # paths; inside one, the general path.
+    body(events // 3)
+    sim.spawn(body, events - events // 3)
     sim.run()
+    while depth:
+        ipm.region_exit()
+        depth -= 1
     task = ipm.finalize()
     report = JobReport(
         tasks=[task],
@@ -104,39 +133,33 @@ def _run_stream(seed: int, events: int = 300) -> bytes:
         start_stamp="t=0.000",
         stop_stamp=f"t={sim.now:.3f}",
     )
-    return pickle_report(report)
+    return report, api.log
 
 
-def _with_backend(backend, fn):
-    """Run ``fn`` with ``IPM_REPRO_TABLE`` forced to ``backend``."""
-    saved = os.environ.get("IPM_REPRO_TABLE")
-    try:
-        if backend is None:
-            os.environ.pop("IPM_REPRO_TABLE", None)
-        else:
-            os.environ["IPM_REPRO_TABLE"] = backend
-        return fn()
-    finally:
-        if saved is None:
-            os.environ.pop("IPM_REPRO_TABLE", None)
-        else:
-            os.environ["IPM_REPRO_TABLE"] = saved
+def _assert_matches_oracle(seed, events=300, capacity=8192):
+    report, log = _run_stream(seed, events, capacity)
+    oracle = ObjectPerfHashTable(capacity)
+    for sig, begin, end in log:
+        oracle.update(sig, end - begin)
+    table = report.tasks[0].table
+    assert len(log) == sum(count for _, count, *_ in table.iter_rows())
+    assert list(table.iter_rows()) == list(oracle.iter_rows())
+    assert pickle.dumps(table) == pickle.dumps(oracle)
+    by_oracle = replace(report, tasks=[replace(report.tasks[0], table=oracle)])
+    assert pickle_report(report) == pickle_report(by_oracle)
+    assert pickle.dumps(report.merged_table()) == \
+        pickle.dumps(by_oracle.merged_table())
+    return table
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_produce_identical_report_bytes(self, seed):
-        slab = _with_backend(None, lambda: _run_stream(seed))
-        legacy = _with_backend("object", lambda: _run_stream(seed))
-        assert slab == legacy
-
-    def test_env_escape_hatch_selects_the_object_backend(self):
-        assert _with_backend(None, table_backend) == "array"
-        assert _with_backend("object", table_backend) == "object"
+        _assert_matches_oracle(seed)
 
     def test_parity_survives_a_merge_heavy_stream(self):
-        """Many distinct refined signatures force slab overflow/merge
-        paths; parity must hold there too."""
-        slab = _with_backend(None, lambda: _run_stream(99, events=1500))
-        legacy = _with_backend("object", lambda: _run_stream(99, events=1500))
-        assert slab == legacy
+        """A table too small for the stream's distinct signatures forces
+        the overflow columns, and the cross-rank merge must read them
+        back in the oracle's order."""
+        table = _assert_matches_oracle(99, events=1500, capacity=16)
+        assert table.overflowed > 0 and table.collisions > 0

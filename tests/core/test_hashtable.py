@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashtable import CallStats, ObjectPerfHashTable, PerfHashTable
+from repro.core.hashtable import CallStats, PerfHashTable
 from repro.core.sig import EventSignature, cuda_exec_name
+from tests.core.object_table import ObjectPerfHashTable
 
 
 class TestCallStats:

@@ -8,14 +8,17 @@ from repro.cluster import run_job
 from repro.core import IpmConfig, banner_parallel, metrics, read_xml, write_xml
 from repro.core.advisor import model_projections
 from repro.core.parser import main as ipm_parse_main
+from repro.sweep import JobSpec
 
 
 class TestFullPipeline:
     def test_real_run_through_ipm_parse(self, tmp_path, capsys):
         """A real monitored job's XML log regenerates the identical
         banner through the CLI, and converts to HTML + CUBE."""
-        res = run_job(lambda env: hpl_app(env, HplConfig.tiny()), 4,
-                      command="./xhpl.tiny", ipm_config=IpmConfig(), seed=3)
+        res = run_job(JobSpec(
+            app=lambda env: hpl_app(env, HplConfig.tiny()), ntasks=4,
+            command="./xhpl.tiny", ipm=IpmConfig(), seed=3,
+        ))
         xml_path = str(tmp_path / "hpl.xml")
         write_xml(res.report, xml_path)
 
@@ -51,10 +54,10 @@ class TestProjections:
         wrappers; the prediction is positive and plausible."""
         from repro.apps.paratec import ParatecConfig, paratec_app
 
-        res = run_job(
-            lambda env: paratec_app(env, ParatecConfig.tiny()), 4,
-            ipm_config=IpmConfig(),
-        )
+        res = run_job(JobSpec(
+            app=lambda env: paratec_app(env, ParatecConfig.tiny()), ntasks=4,
+            ipm=IpmConfig(),
+        ))
         projections = {p.name: p for p in model_projections(res.report)}
         direct = projections["direct-blas"]
         assert 0.0 < direct.savings_fraction < 1.0
@@ -66,8 +69,10 @@ class TestProjections:
 
         gt = GpuTimingModel()
         gt.context_init_sigma = 0.01
-        res = run_job(lambda env: amber_app(env, AmberConfig(steps=20)), 4,
-                      ipm_config=IpmConfig(), gpu_timing=gt)
+        res = run_job(JobSpec(
+            app=lambda env: amber_app(env, AmberConfig(steps=20)), ntasks=4,
+            ipm=IpmConfig(),
+        ), gpu_timing=gt)
         projections = {p.name: p for p in model_projections(res.report)}
         hetero = projections["heterogeneous-cpu"]
         # the recoverable time is ~ the 22.5% threadSync share
@@ -77,8 +82,10 @@ class TestProjections:
         def app(env):
             env.hostcompute(1.0)
 
-        res = run_job(app, 2, ipm_config=IpmConfig(monitor_cuda=False,
-                                                   host_idle=False))
+        res = run_job(JobSpec(
+            app=app, ntasks=2,
+            ipm=IpmConfig(monitor_cuda=False, host_idle=False),
+        ))
         assert model_projections(res.report) == []
 
 
@@ -93,13 +100,17 @@ class TestScaleSmoke:
             env.mpi.MPI_Barrier()
             return total
 
-        res = run_job(app, 256, ranks_per_node=8, n_nodes=32, seed=5)
+        res = run_job(JobSpec(
+            app=app, ntasks=256, ranks_per_node=8, n_nodes=32, seed=5,
+        ))
         assert res.results == [255 * 256 // 2] * 256
 
     def test_many_sequential_jobs_do_not_interfere(self):
         walls = set()
         for seed in range(3):
-            res = run_job(lambda env: hpl_app(env, HplConfig.tiny()), 2,
-                          seed=0)
+            res = run_job(JobSpec(
+                app=lambda env: hpl_app(env, HplConfig.tiny()), ntasks=2,
+                seed=0,
+            ))
             walls.add(round(res.wallclock, 9))
         assert len(walls) == 1  # identical seed ⇒ identical result

@@ -7,6 +7,7 @@ from repro.core import IpmConfig
 from repro.core.trace import TraceRecord, TraceRing, render_timeline
 from repro.cuda import Kernel, cudaMemcpyKind
 from repro.cuda.memory import HostRef
+from repro.sweep import JobSpec
 
 K = cudaMemcpyKind
 
@@ -77,7 +78,7 @@ class TestTracedMonitoring:
         rt.cudaFree(ptr)
 
     def test_trace_off_by_default(self):
-        res = run_job(self._app, 1, ipm_config=IpmConfig())
+        res = run_job(JobSpec(app=self._app, ntasks=1, ipm=IpmConfig()))
         assert res.report is not None  # and no trace attribute populated
 
     def test_trace_records_host_and_gpu_lanes(self):
@@ -90,8 +91,10 @@ class TestTracedMonitoring:
         # host-idle separation off so the memcpy's traced window shows
         # the raw blocking behaviour (with it on, IPM's pre-probe
         # absorbs the wait before the measured window opens)
-        run_job(app, 1, ipm_config=IpmConfig(trace_capacity=128,
-                                             host_idle=False))
+        run_job(JobSpec(
+            app=app, ntasks=1,
+            ipm=IpmConfig(trace_capacity=128, host_idle=False),
+        ))
         trace = ipms[0].trace
         recs = trace.records()
         lanes = {r.lane for r in recs}
@@ -113,7 +116,7 @@ class TestTracedMonitoring:
             ipms.append(env.ipm)
             self._app(env)
 
-        run_job(app, 1, ipm_config=IpmConfig(trace_capacity=128))
+        run_job(JobSpec(app=app, ntasks=1, ipm=IpmConfig(trace_capacity=128)))
         out = render_timeline(ipms[0].trace.records(), width=64)
         assert "gpu:strm00" in out
 
@@ -126,8 +129,10 @@ class TestUserRegions:
             env.mpi.MPI_Pcontrol(-1)
             env.mpi.MPI_Barrier()
 
-        res = run_job(app, 2, ipm_config=IpmConfig(monitor_cuda=False,
-                                                   host_idle=False))
+        res = run_job(JobSpec(
+            app=app, ntasks=2,
+            ipm=IpmConfig(monitor_cuda=False, host_idle=False),
+        ))
         task = res.report.tasks[0]
         regions = {sig.region for sig, _ in task.table.items()}
         assert regions == {"ipm_main", "solver"}
@@ -145,8 +150,10 @@ class TestUserRegions:
             env.mpi.MPI_Allreduce(1)
             env.mpi.MPI_Pcontrol(-1)
 
-        res = run_job(app, 2, ipm_config=IpmConfig(monitor_cuda=False,
-                                                   host_idle=False))
+        res = run_job(JobSpec(
+            app=app, ntasks=2,
+            ipm=IpmConfig(monitor_cuda=False, host_idle=False),
+        ))
         path = str(tmp_path / "p.xml")
         write_xml(res.report, path)
         back = read_xml(path)
@@ -160,5 +167,7 @@ class TestUserRegions:
             env.mpi.MPI_Pcontrol(-1)  # exit without enter
 
         with pytest.raises(ProcessCrashed):
-            run_job(app, 1, ipm_config=IpmConfig(monitor_cuda=False,
-                                                 host_idle=False))
+            run_job(JobSpec(
+                app=app, ntasks=1,
+                ipm=IpmConfig(monitor_cuda=False, host_idle=False),
+            ))

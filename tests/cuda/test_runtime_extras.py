@@ -9,6 +9,7 @@ from repro.cluster.node import NodeSpec
 from repro.cluster.cluster import Cluster
 from repro.cuda import Kernel, cudaError_t, cudaMemcpyKind
 from repro.simt import Simulator
+from repro.sweep import JobSpec
 
 from tests.cuda.conftest import run_in_proc
 
@@ -141,7 +142,7 @@ class TestMultiGpuNodes:
 
         sim = Simulator()
         cluster = Cluster(sim, 1, node_spec=spec)
-        run_job(app, 1, cluster=cluster)
+        run_job(JobSpec(app=app, ntasks=1), cluster=cluster)
         for dev in cluster.nodes[0].devices:
             assert dev.memory.bytes_in_use == 0
 
@@ -162,7 +163,7 @@ class TestMultiGpuNodes:
 
         sim = Simulator()
         cluster = Cluster(sim, 1, node_spec=spec)
-        res = run_job(app, 1, cluster=cluster)
+        res = run_job(JobSpec(app=app, ntasks=1), cluster=cluster)
         # both contexts pay init (serialized per-device locks are
         # distinct) and kernels overlap: well under 2×(init+kernel)
         assert res.results[0] < 2 * (1.29 * 1.3 + 1.0)

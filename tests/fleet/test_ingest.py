@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.fleet.ingest import IngestServer, JsonlTailIngester
-from repro.fleet.protocol import decode_line, encode_record
+from repro.fleet.protocol import decode_line, encode_record, hello_record
 from repro.fleet.store import FleetStore
 
 
@@ -72,6 +72,36 @@ class TestIngestServer:
                 }))
             assert wait_until(lambda: store.samples == 1)
             assert store.dropped == 2
+        finally:
+            server.stop()
+
+    def test_huge_int_record_is_acked_and_the_connection_survives(self):
+        """A point value or ``hts`` too large for a float must not raise
+        out of the handler: both records are processed and acked, and
+        the good record after them still folds."""
+        store = FleetStore()
+        server = IngestServer(store).start()
+        huge = b"1" + b"0" * 400
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as s:
+                s.sendall(encode_record(hello_record("p", True)))
+                s.sendall(
+                    b'{"kind": "sample", "job": "j1", "t": 0.0, "pub": "p",'
+                    b' "seq": 0, "points": [{"name": "m", "labels": {},'
+                    b' "value": ' + huge + b'}]}\n'
+                    b'{"kind": "sample", "job": "j1", "t": 0.0, "pub": "p",'
+                    b' "seq": 1, "hts": ' + huge + b', "points": []}\n'
+                )
+                s.sendall(encode_record({
+                    "kind": "sample", "job": "j1", "t": 0.0, "pub": "p",
+                    "seq": 2,
+                    "points": [{"name": "m", "labels": {}, "value": 1.0}],
+                }))
+                acks = s.makefile("rb")
+                assert [decode_line(acks.readline())["seq"]
+                        for _ in range(3)] == [0, 1, 2]
+            assert store.samples == 3 and store.points == 1
+            assert store.lag.count == 0
         finally:
             server.stop()
 

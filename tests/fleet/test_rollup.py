@@ -313,6 +313,17 @@ class TestSampleWindowFolder:
         assert merged["points"][0]["agg"]["count"] == 2
         assert merged["points"][0]["agg"]["last"] == 6.0
 
+    @pytest.mark.parametrize("value", [10 ** 400, "NaNope"],
+                             ids=["huge-int", "non-numeric"])
+    def test_unfloatable_point_value_is_skipped_not_raised(self, value):
+        folder = SampleWindowFolder(0.05)
+        record = _sample(0.0, value)
+        record["points"].append({"name": "ok", "labels": {}, "value": 2.0})
+        assert folder.fold(record)
+        (out,) = folder.drain()
+        assert out["samples"] == 1
+        assert [p["name"] for p in out["points"]] == ["ok"]
+
     @pytest.mark.parametrize("record", [
         {"kind": "job_start", "job": "j"},
         {"kind": "sample", "job": "", "t": 0.0, "points": []},

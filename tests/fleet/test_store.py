@@ -111,6 +111,32 @@ class TestIngest:
         assert store.points == 1
         assert store.registry.job("j1").points == 1
 
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, '"NaNope"'],
+                             ids=["huge-int", "non-numeric"])
+    def test_unfloatable_point_value_is_skipped_not_raised(self, store, value):
+        """A JSON integer too large for a float is skipped exactly like
+        a non-numeric value: no counter, rollup or node sees it."""
+        line = (
+            '{"kind": "sample", "job": "j1", "t": 0.0, "points": ['
+            '{"name": "bad", "labels": {"node": "n1"}, "value": '
+            + value + '}, {"name": "good", "labels": {}, "value": 2.0}]}'
+        )
+        assert store.ingest_status(decode_line(line)) == "accepted"
+        assert store.samples == 1 and store.points == 1
+        job = store.registry.job("j1")
+        assert job.points == 1 and job.nodes == set()
+        assert store.registry.node("n1") is None
+        assert set(store.job_rollups("j1")["metrics"]) == {"good"}
+        assert set(store.fleet_summary()["metrics"]) == {"good"}
+        assert store.dropped == 0
+
+    def test_huge_int_hts_is_left_out_of_the_lag(self, store):
+        line = json.dumps(sample("j1", 0.0))[:-1] + ', "hts": 1' + "0" * 400
+        line += "}"
+        assert store.ingest_status(decode_line(line)) == "accepted"
+        assert store.lag.count == 0
+        assert store.samples == 1 and store.points == 1
+
     def test_hts_stamp_feeds_measured_lag(self, store, clock):
         store.ingest(sample("j1", 0.0, hts=clock.t - 0.25))
         assert store.lag.count == 1

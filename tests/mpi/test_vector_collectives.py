@@ -90,13 +90,16 @@ class TestIpmSeesVectorCollectives:
     def test_wrapped_and_sized(self):
         from repro.cluster import run_job
         from repro.core import IpmConfig
+        from repro.sweep import JobSpec
 
         def app(env):
             env.mpi.MPI_Allgatherv(None, nbytes=4096)
             env.mpi.MPI_Gatherv(None, root=0, nbytes=8192)
 
-        res = run_job(app, 2, ipm_config=IpmConfig(monitor_cuda=False,
-                                                   host_idle=False))
+        res = run_job(JobSpec(
+            app=app, ntasks=2,
+            ipm=IpmConfig(monitor_cuda=False, host_idle=False),
+        ))
         by = res.report.merged_by_name()
         assert by["MPI_Allgatherv"].count == 2
         assert by["MPI_Gatherv"].count == 2

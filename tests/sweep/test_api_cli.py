@@ -1,7 +1,8 @@
-"""The stable facade, the deprecated kwargs shim, and `python -m repro`."""
+"""The stable facade, the one `run_job(spec)` signature, and `python -m repro`."""
 
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.__main__ import (
     EXIT_SPEC_FAILURES,
     main,
 )
-from repro.cluster.jobs import LEGACY_KWARG_TO_SPEC_FIELD
 
 
 class TestFacade:
@@ -61,18 +61,18 @@ class TestFacade:
 
 
 class TestDeprecatedShim:
+    """The pre-JobSpec signature is gone: stale callers fail loudly."""
+
     def test_legacy_kwargs_warn_and_match_the_spec_path(self):
+        """A raw ``app(env)`` callable is the in-process form of a
+        registry name: the same job, the same report bytes."""
         spec = JobSpec(app="square", ntasks=1, command="./square",
                        ipm=IpmConfig(), seed=9)
-        canonical = run_job(spec)
-        with pytest.warns(DeprecationWarning, match="JobSpec"):
-            legacy = run_job(
-                spec.build_app(), 1, command="./square",
-                ipm_config=IpmConfig(), seed=9,
-            )
-        assert pickle.dumps(legacy.report, protocol=4) == \
-               pickle.dumps(canonical.report, protocol=4)
-        assert legacy.wallclock == canonical.wallclock
+        by_name = run_job(spec)
+        raw = run_job(replace(spec, app=spec.build_app()))
+        assert pickle.dumps(raw.report, protocol=4) == \
+               pickle.dumps(by_name.report, protocol=4)
+        assert raw.wallclock == by_name.wallclock
 
     def test_spec_call_does_not_warn(self, recwarn):
         run_job(JobSpec(app="square", ntasks=1))
@@ -83,30 +83,17 @@ class TestDeprecatedShim:
         spec = JobSpec(app="square", ntasks=1)
         with pytest.raises(TypeError, match="seed"):
             run_job(spec, seed=3)
-        with pytest.raises(TypeError, match="ntasks"):
+        with pytest.raises(TypeError, match="positional"):
             run_job(spec, 2)
+        # the old run_job(app, ntasks) form fails Python's arity check
+        with pytest.raises(TypeError, match="positional"):
+            run_job(spec.build_app(), 2)
 
     def test_legacy_call_without_ntasks_is_an_error(self):
-        with pytest.raises(TypeError, match="ntasks"):
+        with pytest.raises(TypeError, match="JobSpec"):
             run_job(lambda env: None)
-
-    def test_migration_table_covers_the_old_signature(self):
-        assert LEGACY_KWARG_TO_SPEC_FIELD == {
-            "app": "app",
-            "ntasks": "ntasks",
-            "command": "command",
-            "n_nodes": "n_nodes",
-            "ranks_per_node": "ranks_per_node",
-            "ipm_config": "ipm",
-            "seed": "seed",
-            "noise": "noise",
-            "cuda_profile": "cuda_profile",
-            "faults": "faults",
-        }
-        spec_fields = {f.name for f in
-                       __import__("dataclasses").fields(JobSpec)}
-        assert set(LEGACY_KWARG_TO_SPEC_FIELD.values()) <= \
-               spec_fields | {"app", "ntasks"}
+        with pytest.raises(TypeError, match="JobSpec"):
+            run_job("square")
 
 
 def _write_specs(tmp_path, specs):

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import run_job
 from repro.core import IpmConfig
 from repro.simt import ProcessCrashed
+from repro.sweep import JobSpec
 from repro.telemetry.config import TelemetryConfig
 
 
@@ -25,7 +26,9 @@ def test_sinks_flushed_when_the_app_raises(tmp_path):
         raise RuntimeError("application bug")
 
     with pytest.raises(ProcessCrashed):
-        run_job(dying_app, 2, ipm_config=IpmConfig(telemetry=_tcfg(tmp_path)))
+        run_job(JobSpec(
+            app=dying_app, ntasks=2, ipm=IpmConfig(telemetry=_tcfg(tmp_path)),
+        ))
 
     # the try/finally around the run loop still flushed + closed sinks:
     # the JSONL file is complete and well-formed despite the crash.
@@ -38,10 +41,9 @@ def test_sinks_flushed_when_the_app_raises(tmp_path):
 
 
 def test_sinks_closed_on_the_clean_path_too(tmp_path):
-    res = run_job(
-        lambda env: env.hostcompute(0.05),
-        1,
-        ipm_config=IpmConfig(telemetry=_tcfg(tmp_path)),
-    )
+    res = run_job(JobSpec(
+        app=lambda env: env.hostcompute(0.05), ntasks=1,
+        ipm=IpmConfig(telemetry=_tcfg(tmp_path)),
+    ))
     mem = res.telemetry.sink("memory")
     assert mem.closed and len(mem) > 0
