@@ -15,14 +15,14 @@ import pytest
 from repro import IpmConfig, JobSpec
 from repro.core import banner_serial
 
-from conftest import emit, once, sweep_runner
+from conftest import emit, once, run_sweep
 
 
 def _run(config: IpmConfig):
     spec = JobSpec(
         app="square", ntasks=1, command="./cuda.ipm", ipm=config, seed=15,
     )
-    return sweep_runner().run([spec])[0]
+    return run_sweep([spec])[0]
 
 
 @pytest.mark.benchmark(group="fig4-6")

@@ -24,7 +24,7 @@ import pytest
 from repro import IpmConfig, JobSpec, NoiseConfig
 from repro.analysis import ascii_histogram, compare_ensembles
 
-from conftest import emit, once, sweep_runner
+from conftest import emit, once, run_sweep
 
 RUNS = int(os.environ.get("REPRO_FIG8_RUNS", "40"))
 
@@ -36,7 +36,7 @@ def _ensemble():
     without_specs = [base.replace(seed=1000 + i) for i in range(RUNS)]
     with_specs = [base.replace(seed=2000 + i, ipm=IpmConfig())
                   for i in range(RUNS)]
-    sweep = sweep_runner().run(without_specs + with_specs)
+    sweep = run_sweep(without_specs + with_specs)
     wallclocks = sweep.wallclocks()
     return wallclocks[RUNS:], wallclocks[:RUNS]
 

@@ -20,7 +20,7 @@ from repro import IpmConfig, JobSpec, NoiseConfig
 from repro.analysis import format_table
 from repro.core import metrics, read_cube, write_cube, write_xml
 
-from conftest import RESULTS_DIR, emit, once, sweep_runner
+from conftest import RESULTS_DIR, emit, once, run_sweep
 
 FIG9_KERNELS = [
     "dgemm_nn_e_kernel", "dgemm_nt_tex_kernel", "dtrsm_gpu_64_mm", "transpose",
@@ -32,7 +32,7 @@ def _run():
         app="hpl", ntasks=16, command="./xhpl.cuda", ipm=IpmConfig(),
         noise=NoiseConfig(), seed=1,
     )
-    return sweep_runner().run([spec])[0]
+    return run_sweep([spec])[0]
 
 
 @pytest.mark.benchmark(group="fig9")

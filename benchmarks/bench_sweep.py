@@ -98,6 +98,13 @@ def run_sweep_bench(jobs: int = 8) -> Dict:
         warm_s = time.perf_counter() - t0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+    for report in (serial, par, cold, warm):
+        if not report.ok:  # a failed spec would drop out of the timing
+            bad = report.failures()[0]
+            raise RuntimeError(
+                f"sweep spec {bad.spec_hash[:12]} ended {bad.status}: "
+                f"{bad.error}"
+            )
     cached_identical = (
         _pickles(warm) == _pickles(cold) == _pickles(serial)
     )

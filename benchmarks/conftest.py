@@ -21,13 +21,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 SWEEP_CACHE_ENV = "REPRO_SWEEP_CACHE"
 
 
-def sweep_runner(workers=None):
-    """The figure scripts' :class:`repro.SweepRunner`.
+def run_sweep(specs):
+    """Run the figure scripts' specs through :class:`repro.SweepRunner`.
 
     Jobs are content-addressed into ``results/.sweep_cache`` (override
     via ``REPRO_SWEEP_CACHE``), so re-running a figure script replays
     the simulations from disk — determinism makes the cached reports
-    byte-identical to fresh runs.
+    byte-identical to fresh runs.  A failed spec raises (naming it)
+    rather than silently dropping out of a figure.
     """
     from repro import ResultCache, SweepRunner
 
@@ -35,7 +36,20 @@ def sweep_runner(workers=None):
         SWEEP_CACHE_ENV, os.path.join(RESULTS_DIR, ".sweep_cache")
     )
     cache = None if where in ("0", "off", "") else ResultCache(where)
-    return SweepRunner(workers=workers, cache=cache)
+    with SweepRunner(cache=cache) as runner:
+        report = runner.run(specs)
+    check_sweep(report)
+    return report
+
+
+def check_sweep(report):
+    """Raise naming the first failed spec of ``report``, if any."""
+    if not report.ok:
+        bad = report.failures()[0]
+        raise RuntimeError(
+            f"sweep spec {bad.spec_hash[:12]} ({bad.spec.app}) ended "
+            f"{bad.status}: {bad.error}"
+        )
 
 
 def save_result(name: str, text: str) -> str:

@@ -55,6 +55,10 @@ def main(argv=None) -> None:
     sweep = runner.run(
         [spec(8, "mkl")] + [spec(n, "cublas") for n in (8, 16, 32, 64)]
     )
+    if not sweep.ok:
+        bad = sweep.failures()[0]
+        raise SystemExit(f"paratec_scaling: {bad.spec.ntasks}-rank "
+                         f"{bad.spec.command} ended {bad.status}: {bad.error}")
     mkl, cublas = sweep[0], sweep.results[1:]
     print(f"MKL BLAS baseline at 8 procs: {mkl.wallclock:.0f} s")
     for pt in cublas:

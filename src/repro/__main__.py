@@ -481,11 +481,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="wall-clock limit per attempt; a hung spec "
-                              "is killed and marked 'timeout' (enables "
-                              "supervised execution)")
+                              "is killed and marked 'timeout' (every "
+                              "attempt runs on a killable worker)")
     p_sweep.add_argument("--retries", type=int, default=0,
-                         help="extra attempts for crashed/timed-out specs "
-                              "(enables supervised execution)")
+                         help="extra attempts for crashed/timed-out specs")
     p_sweep.add_argument("--resume", action="store_true",
                          help="replay the journal + cache and re-run only "
                               "specs that never finished ok (needs --cache)")

@@ -49,17 +49,18 @@ Address = Union[str, Tuple[str, int]]
 #: how often the durable aggregator's retention policy runs.
 DEFAULT_COMPACT_INTERVAL = 60.0
 
+#: seconds between polls of the tailed JSONL files.
+TAIL_INTERVAL = 0.2
+
 
 class FleetAggregator:
     """Ingest + store + query API as one start/stoppable service."""
 
     def __init__(
         self,
-        store: Optional[FleetStore] = None,
         ingest: Address = "127.0.0.1:0",
         http: Address = "127.0.0.1:0",
         tails: Sequence[str] = (),
-        tail_interval: float = 0.2,
         data_dir: Optional[str] = None,
         retain: int = DEFAULT_RETAIN_SEGMENTS,
         fsync: str = "rotate",
@@ -68,17 +69,13 @@ class FleetAggregator:
         forward_interval: float = DEFAULT_FORWARD_INTERVAL,
         **store_kwargs,
     ) -> None:
-        if store is not None and store_kwargs:
-            raise ValueError(
-                "pass either a prebuilt store or store kwargs, not both"
-            )
         if retain < 0:
             raise ValueError(f"retain must be >= 0: {retain}")
-        if data_dir is not None and store is None:
+        if data_dir is not None:
             # durable aggregators downsample aged buckets into coarser
             # tiers by default instead of evicting them.
             store_kwargs.setdefault("tiers", DEFAULT_RETENTION_TIERS)
-        self.store = store if store is not None else FleetStore(**store_kwargs)
+        self.store = FleetStore(**store_kwargs)
         self.data_dir = data_dir
         self.history = (
             HistoryLog(data_dir, fsync=fsync) if data_dir is not None
@@ -93,7 +90,6 @@ class FleetAggregator:
         self.replayed = 0
         self._ingest_bind = parse_address(ingest)
         self._http_bind = parse_address(http)
-        self.tail_interval = tail_interval
         self.tailers: List[JsonlTailIngester] = [
             JsonlTailIngester(path, self.store) for path in tails
         ]
@@ -143,7 +139,7 @@ class FleetAggregator:
             self._tail_thread.start()
 
     def _tail_loop(self) -> None:
-        while not self._tail_stop.wait(self.tail_interval):
+        while not self._tail_stop.wait(TAIL_INTERVAL):
             for tailer in list(self.tailers):
                 tailer.poll()
 

@@ -144,8 +144,10 @@ class FleetStore:
             it stops re-sending;
         ``"refused"``
             bookkeeping, never an exception: unknown kinds, job-scoped
-            records without a job id and samples without a points
-            list or with a non-finite ``t``/``samples`` bump
+            records without a job id, samples without a points
+            list or with a non-finite ``t``/``samples`` and end
+            records whose ``wallclock`` is not a float-sized number
+            or whose ``attempts`` is not an integer bump
             ``dropped`` (a stamped refusal still consumes its seq, so
             it is not a gap);
         ``"frozen"``
@@ -233,12 +235,22 @@ class FleetStore:
             )
             return True
         if kind in END_KINDS:
+            wallclock = record.get("wallclock")
+            attempts = record.get("attempts")
+            # refuse before the registry changes: a JSON int, not a
+            # bool, for attempts; a float-sized number for wallclock.
+            if (
+                (wallclock is not None and json_float(wallclock) is None)
+                or (attempts is not None and type(attempts) is not int)
+            ):
+                self.dropped += 1
+                return False
             ranks = record.get("ranks")
             self.registry.job_finished(
                 job,
                 status=record.get("status"),
-                wallclock=record.get("wallclock"),
-                attempts=record.get("attempts"),
+                wallclock=wallclock,
+                attempts=attempts,
                 from_cache=record.get("from_cache"),
                 error=record.get("error"),
                 ranks=ranks if isinstance(ranks, dict) else None,

@@ -17,7 +17,7 @@ service:
 * :class:`~repro.sweep.report.SweepReport` — ordered results feeding
   the :mod:`repro.analysis` scaling/ensemble/comparison tools;
 * :class:`~repro.sweep.journal.SweepJournal` — append-only record of
-  supervised status transitions, powering ``--resume`` and quarantine.
+  per-spec status transitions, powering ``--resume`` and quarantine.
 """
 
 from repro.sweep.cache import ResultCache, pickle_report

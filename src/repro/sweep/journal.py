@@ -1,7 +1,7 @@
 """The sweep journal: append-only JSONL record of spec status transitions.
 
 The :class:`~repro.sweep.cache.ResultCache` remembers *results*; the
-journal remembers *history* — every supervised attempt's start and
+journal remembers *history* — every spec's start and
 terminal status, one JSON object per line, appended and flushed as it
 happens so a killed sweep leaves a readable trail.  On the next
 invocation ``--resume`` replays the journal (plus the cache) and

@@ -44,7 +44,7 @@ class SweepResult:
     #: one-line diagnosis when ``status != "ok"`` (exception text, the
     #: worker's exit code, the deadlock site list, …).
     error: Optional[str] = None
-    #: supervised attempts consumed (1 on the unsupervised path).
+    #: attempts consumed (0 for a cache replay or a quarantined spec).
     attempts: int = 1
 
     @property
@@ -64,7 +64,8 @@ class SweepReport:
     host_seconds: float = 0.0
     #: worker processes used (1 = serial).
     workers: int = 1
-    #: how the sweep actually executed: "process" or "serial".
+    #: where attempts ran: "process" (warm workers) or "serial" (inline,
+    #: for any executed spec, or nothing executed).
     mode: str = "serial"
     #: unique jobs actually simulated (after dedup and cache hits).
     executed: int = 0

@@ -8,16 +8,35 @@ cheap:
 * **independence** — specs share nothing at runtime, so they fan out
   onto a pool of persistent *warm workers*
   (:class:`~repro.sweep.warmpool.WarmWorkerPool`: long-lived children
-  that import the simulation stack once and serve batches of specs
+  that import the simulation stack once and serve one spec at a time
   over a pipe; nothing mutable crosses the process boundary);
 * **determinism** — a spec maps to one byte-exact
   :class:`~repro.core.report.JobReport`, so results are content-
   addressed by ``spec.content_hash()`` and replayed from disk on the
   next invocation.
 
-Execution degrades gracefully: ``workers=1``, ``mode="serial"``, or
-any failure to stand up / keep up the process pool falls back to
-in-process serial execution with identical results (pinned by test).
+Every spec takes one path: ``retries + 1`` attempts at most, each
+contained, ending in one terminal state from
+:data:`repro.errors.STATUSES` that lands in
+:attr:`~repro.sweep.report.SweepResult.status`.  A crashing, hanging
+or deadlocking spec never raises out of :meth:`SweepRunner.run` — the
+sweep always *completes* and reports.  An attempt runs inline when
+``mode="serial"``, or when there is no ``timeout`` and either one
+worker or at most one runnable spec; otherwise it runs on a borrowed
+warm worker (one kill contains one spec; a dead or hung worker is
+replaced, not mourned), and ``mode="auto"`` degrades to inline when
+the pool cannot be stood up.  Results are byte-identical wherever the
+attempt ran (pinned by test).
+
+The supervision knobs layer onto that path: a wall-clock ``timeout``
+kills a hung worker and marks the spec ``timeout``, the simulator's
+:class:`~repro.simt.simulator.LivenessLimits` watchdog converts
+livelock into ``livelock``, ``retries`` re-run infrastructural
+failures with host-clock backoff through
+:func:`repro.faults.retry.retry_with_backoff`, and ``resume`` journals
+every transition (:class:`~repro.sweep.journal.SweepJournal`) so a
+re-run replays finished work from cache+journal and quarantines specs
+that keep failing.
 
 The pool is *persistent*: it outlives one ``run()`` call, so repeated
 sweeps through the same runner reuse the warmed-up children.  It is
@@ -25,31 +44,6 @@ torn down by :meth:`SweepRunner.close` (the runner is a context
 manager), when the runner is garbage-collected, and hard-killed on
 KeyboardInterrupt — a Ctrl-C'd sweep leaves no children behind and
 its journal stays resumable.
-
-Supervision
------------
-On a shared cluster the sweep itself is the fragile part: one crashing
-spec, one hung simulator, one dead worker and a million-spec batch
-dies with a traceback.  Turning on any supervision knob (``timeout``,
-``retries``, ``liveness``, ``journal``/``resume``) switches the runner
-into **supervised** mode: every attempt runs in a warm child process
-(one kill contains one spec; the killed worker is replaced, not
-mourned), a wall-clock ``timeout`` converts hangs
-into ``status="timeout"``, the simulator's
-:class:`~repro.simt.simulator.LivenessLimits` watchdog converts
-livelock into ``status="livelock"``, failures are retried with
-host-clock backoff through
-:func:`repro.faults.retry.retry_with_backoff`, every transition is
-journaled (:class:`~repro.sweep.journal.SweepJournal`) so ``resume``
-replays finished work from cache+journal, and specs that keep failing
-are quarantined instead of poisoning the batch again.  Terminal states
-come from :data:`repro.errors.STATUSES` and land in
-:attr:`~repro.sweep.report.SweepResult.status` — the sweep always
-*completes* and reports, it never propagates a worker's death.
-
-With every knob at its default the supervised machinery is bypassed
-entirely and results are byte-identical to the historical runner
-(pinned by test).
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from repro.errors import (
     classify_error,
 )
 from repro.faults.retry import RetriesExhausted, retry_with_backoff
-from repro.simt.random import RngStreams
 from repro.simt.simulator import LivenessLimits
 from repro.sweep import events as _events
 from repro.sweep.cache import ResultCache, pickle_report
@@ -85,6 +78,9 @@ MODES = ("auto", "process", "serial")
 #: worker, an exceeded deadline, an unclassified error) rather than a
 #: deterministic property of the spec (a deadlock will deadlock again).
 RETRYABLE_STATUSES = frozenset({"crashed", "timeout", "failed"})
+
+#: base host-clock seconds between retries (doubling each attempt).
+RETRY_BACKOFF = 0.05
 
 #: payload a worker returns: (report pickle, wallclock, events, xml).
 _WorkerOut = Tuple[bytes, float, int, Optional[str]]
@@ -105,11 +101,11 @@ def execute_spec_json(
 ) -> _WorkerOut:
     """Run one spec from its JSON form (the worker-side entry point).
 
-    Top-level so ``ProcessPoolExecutor`` can dispatch it by reference;
-    also the serial path, so both modes share one code path and the
+    Top-level so a warm worker can look it up by reference; also the
+    inline path, so both placements share one code path and the
     report bytes are produced identically either way.  ``liveness``
-    arms the simulator's watchdog (supervised runs only — it is
-    runtime policy, not part of the spec's identity).  ``fleet`` is a
+    arms the simulator's watchdog (runtime policy, not part of the
+    spec's identity).  ``fleet`` is a
     ``(target, job_id)`` pair — or ``(target, job_id, spool_dir)``
     with a non-None ``spool_dir`` for durable (spooled, zero-loss)
     publishing: when the spec's telemetry is enabled, a
@@ -155,47 +151,50 @@ def execute_spec_json(
 
 @dataclass
 class _Outcome:
-    """One attempt's terminal state (supervised path)."""
+    """One attempt's terminal state, and whether it ran inline."""
 
     status: str
     payload: Optional[_WorkerOut] = None
     error: Optional[str] = None
+    inline: bool = False
 
 
 @dataclass
 class _Settled:
-    """A finished spec inside ``run()`` (both paths)."""
+    """A finished spec inside ``run()``."""
 
     payload: _WorkerOut
     from_cache: bool
     status: str = "ok"
     error: Optional[str] = None
     attempts: int = 1
+    inline: bool = False
 
 
 class SweepRunner:
     """Runs batches of :class:`JobSpec` with parallelism and caching.
 
-    The keyword-only supervision knobs (all off by default):
+    The keyword-only supervision knobs (all off by default; a failing
+    spec is a status with or without them):
 
     ``timeout``
         wall-clock seconds one attempt may take before its worker is
-        killed and the spec marked ``timeout`` (needs process mode;
-        the in-process serial path cannot preempt a hard hang).
+        killed and the spec marked ``timeout``.  Setting it puts every
+        attempt on a warm worker (unless ``mode="serial"``: the
+        in-process path cannot preempt a hard hang).
     ``retries``
         extra attempts for specs ending in a
         :data:`RETRYABLE_STATUSES` state, with exponential host-clock
-        backoff (``retry_backoff`` base seconds, optional
-        deterministic ``retry_jitter``) via
+        backoff (:data:`RETRY_BACKOFF` base seconds) via
         :func:`~repro.faults.retry.retry_with_backoff`.
     ``liveness``
         :class:`~repro.simt.simulator.LivenessLimits` armed inside
         every attempt's simulator — livelock becomes ``livelock``.
-    ``journal`` / ``resume``
-        a :class:`~repro.sweep.journal.SweepJournal` records every
-        status transition; ``resume=True`` (with a cache) re-runs only
-        specs that never reached ``ok`` and quarantines specs with
-        ``quarantine_after``+ recorded failures.
+    ``resume``
+        needs a cache: a :class:`~repro.sweep.journal.SweepJournal`
+        next to it records every status transition, and the run
+        re-runs only specs that never reached ``ok`` and quarantines
+        specs with ``quarantine_after``+ recorded failures.
     ``fleet``
         a fleet aggregator's ingest address (``"host:port"``): per-spec
         lifecycle records (start/finish/status/attempts) stream there
@@ -204,9 +203,9 @@ class SweepRunner:
         enabled additionally attach a
         :class:`~repro.fleet.sink.FleetSink` so their samples stream
         too.  Observability only — it does not change which specs run,
-        the cache keys, or any report byte.  ``fleet`` does *not* flip
-        the runner into supervised mode.  Close the runner (or use it
-        as a context manager) so its last records are delivered.
+        where they run, the cache keys, or any report byte.  Close the
+        runner (or use it as a context manager) so its last records
+        are delivered.
     ``fleet_spool``
         a directory (needs ``fleet``): publishers become *durable* —
         records spool to disk while the aggregator is unreachable and
@@ -225,11 +224,8 @@ class SweepRunner:
         *,
         timeout: Optional[float] = None,
         retries: int = 0,
-        retry_backoff: float = 0.05,
-        retry_jitter: float = 0.0,
         quarantine_after: Optional[int] = 3,
         liveness: Optional[LivenessLimits] = None,
-        journal: Optional[SweepJournal] = None,
         resume: bool = False,
         fleet: Optional[str] = None,
         fleet_spool: Optional[str] = None,
@@ -251,20 +247,17 @@ class SweepRunner:
         self.mode = mode
         self.timeout = timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_jitter = retry_jitter
         self.quarantine_after = quarantine_after
         self.liveness = liveness if liveness is not None and liveness.active \
             else None
-        if resume and journal is None:
-            if cache is None:
-                raise ValueError(
-                    "resume=True needs a journal (or a cache to put the "
-                    "default journal next to)"
-                )
-            journal = SweepJournal.for_cache(cache)
-        self.journal = journal
-        self.resume = resume
+        if resume and cache is None:
+            raise ValueError(
+                "resume=True needs a cache (the journal lives next to it)"
+            )
+        #: the resume journal; None unless ``resume``.
+        self.journal: Optional[SweepJournal] = (
+            SweepJournal.for_cache(cache) if resume else None
+        )
         if fleet_spool is not None and fleet is None:
             raise ValueError("fleet_spool needs fleet (it spools the "
                              "fleet stream)")
@@ -282,20 +275,9 @@ class SweepRunner:
         #: lazily-created persistent worker pool; reused across run()
         #: calls so repeated sweeps skip child start-up entirely.
         self._pool: Optional[WarmWorkerPool] = None
-        #: set on interrupt/failure teardown so in-flight supervision
+        #: set on interrupt/failure teardown so in-flight attempt
         #: threads stop borrowing workers instead of respawning them.
         self._tearing_down = False
-
-    @property
-    def supervised(self) -> bool:
-        """True when any supervision knob moved off its default."""
-        return (
-            self.timeout is not None
-            or self.retries > 0
-            or self.liveness is not None
-            or self.journal is not None
-            or self.resume
-        )
 
     # -- warm-pool lifecycle ----------------------------------------------
 
@@ -407,9 +389,10 @@ class SweepRunner:
         """Execute ``specs``; results come back in submission order.
 
         Duplicate specs (same content hash) are simulated once and
-        fanned out; cached specs are not simulated at all.  Supervised
-        runs *always* return a report: failures land in per-result
-        ``status``/``error``, never as exceptions.
+        fanned out; cached specs are not simulated at all.  A failing
+        spec lands in its result's ``status``/``error``, never as an
+        exception; only an interrupt, a non-JobSpec input and (with
+        ``mode="process"``) a worker pool that cannot be used raise.
         """
         t0 = _time.perf_counter()
         specs = list(specs)
@@ -492,105 +475,21 @@ class SweepRunner:
             executed=len(unique),
         )
 
-    # -- execution backends ----------------------------------------------
+    # -- execution -------------------------------------------------------
 
     def _execute(
         self,
         pending: Dict[str, JobSpec],
         done: Dict[str, _Settled],
     ) -> str:
-        """Run every pending spec, filling ``done``; returns the mode."""
-        if self.supervised:
-            return self._execute_supervised(pending, done)
-        want_xml = self.cache is not None
-        if (
-            self.mode in ("auto", "process")
-            and self.workers > 1
-            and len(pending) > 1
-        ):
-            try:
-                self._run_pool(pending, done, want_xml)
-                return "process"
-            except Exception:
-                if self.mode == "process":
-                    raise
-                # "auto": the pool failed (fork limits, a dying
-                # executor, ...) — finish serially; determinism makes
-                # the retry safe and the results identical.
-        for key, spec in pending.items():
-            if key in done:
-                continue
-            self._notify(_events.spec_start(key))
-            settled = _Settled(self._run_one(spec, want_xml, key), False)
-            done[key] = settled
-            self._notify(_events.spec_finish(
-                key, "ok", wallclock=settled.payload[1]
-            ))
-        return "serial"
+        """Settle every pending spec into ``done``; returns the mode.
 
-    def _run_pool(
-        self,
-        pending: Dict[str, JobSpec],
-        done: Dict[str, _Settled],
-        want_xml: bool,
-    ) -> None:
-        todo = {k: s for k, s in pending.items() if k not in done}
-        pool = self._ensure_pool(len(todo))
-        items = [
-            (key, spec.to_json(), want_xml, None, self._fleet_item(key))
-            for key, spec in todo.items()
-        ]
-        for key in todo:
-            self._notify(_events.spec_start(key))
-        results = pool.run_batch(items)
-        failed: Optional[Tuple[str, Optional[str]]] = None
-        for key in todo:
-            tag, status, payload, error = results[key]
-            if status == "ok" and payload is not None:
-                self._store(todo[key], payload)
-                done[key] = _Settled(tuple(payload), False)
-                self._notify(_events.spec_finish(
-                    key, "ok", wallclock=payload[1]
-                ))
-            elif failed is None:
-                failed = (key, error)
-        if failed is not None:
-            # unsupervised semantics are all-or-nothing: re-raise so the
-            # serial fallback re-runs the failures in-process and the
-            # caller sees the original exception type, exactly as the
-            # one-shot pool did.  The oks above are already stored, so
-            # the fallback only repeats the failing specs.
-            raise WorkerPoolBroken(
-                f"spec {failed[0][:12]} failed in warm worker: {failed[1]}"
-            )
-
-    def _run_one(self, spec: JobSpec, want_xml: bool, key: str) -> _WorkerOut:
-        payload = execute_spec_json(
-            spec.to_json(), want_xml, fleet=self._fleet_item(key)
-        )
-        self._store(spec, payload)
-        return payload
-
-    def _store(self, spec: JobSpec, payload: _WorkerOut) -> None:
-        if self.cache is None:
-            return
-        report_pickle, wallclock, events, xml_text = payload
-        self.cache.store(
-            spec, report_pickle, wallclock, events, xml_text=xml_text
-        )
-
-    # -- supervised execution ---------------------------------------------
-
-    def _execute_supervised(
-        self,
-        pending: Dict[str, JobSpec],
-        done: Dict[str, _Settled],
-    ) -> str:
-        """Contain crashes/hangs per spec; fill ``done`` with statuses."""
-        todo = {k: s for k, s in pending.items() if k not in done}
+        The mode is ``"serial"`` if any executed spec finished inline
+        (or none executed), else ``"process"``.
+        """
         history = self.journal.replay() if self.journal is not None else {}
         runnable: Dict[str, JobSpec] = {}
-        for key, spec in todo.items():
+        for key, spec in pending.items():
             entry = history.get(key)
             if (
                 self.quarantine_after is not None
@@ -598,8 +497,7 @@ class SweepRunner:
                 and entry.failures >= self.quarantine_after
             ):
                 exc = QuarantinedSpec(key, entry.failures)
-                if self.journal is not None:
-                    self.journal.record(key, "quarantined", error=str(exc))
+                self.journal.record(key, "quarantined", error=str(exc))
                 done[key] = _Settled(
                     _EMPTY_OUT, False,
                     status="quarantined", error=str(exc), attempts=0,
@@ -609,39 +507,49 @@ class SweepRunner:
                 ))
             else:
                 runnable[key] = spec
-        serial = self.mode == "serial" or self.workers <= 1 or len(runnable) <= 1
-        if serial:
+        inline = self.mode == "serial" or (
+            self.timeout is None
+            and (self.workers <= 1 or len(runnable) <= 1)
+        )
+        threads = 1 if inline else min(self.workers, len(runnable))
+        if threads <= 1:
             for key, spec in runnable.items():
-                done[key] = self._supervise_one(key, spec)
+                done[key] = self._supervise_one(key, spec, inline)
         else:
-            if self.mode != "serial" and runnable:
-                try:
-                    # stand the warm pool up once, before the supervision
-                    # threads race to borrow workers from it.
-                    self._ensure_pool(len(runnable))
-                except (OSError, WorkerPoolBroken):
-                    pass  # per-attempt fallback degrades inline
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(runnable))
-            ) as pool:
+            try:
+                # stand the warm pool up once, before the attempt
+                # threads race to borrow workers from it.
+                self._ensure_pool(len(runnable))
+            except (OSError, WorkerPoolBroken):
+                pass  # each attempt degrades (or raises) on its own
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = {
-                    key: pool.submit(self._supervise_one, key, spec)
+                    key: pool.submit(self._supervise_one, key, spec, False)
                     for key, spec in runnable.items()
                 }
                 try:
                     for key, future in futures.items():
                         done[key] = future.result()
                 except BaseException:
-                    # interrupt while supervision threads block on
-                    # worker pipes: kill the workers *inside* the
-                    # with-block, or shutdown(wait=True) would deadlock
-                    # waiting on threads stuck in conn.poll().
+                    # interrupt while attempt threads block on worker
+                    # pipes: kill the workers *inside* the with-block,
+                    # or shutdown(wait=True) would deadlock waiting on
+                    # threads stuck in conn.poll().
                     self._teardown_pool()
                     raise
-        return "supervised-serial" if self.mode == "serial" else "supervised"
+        placed = [done[key].inline for key in runnable]
+        return "process" if placed and not any(placed) else "serial"
 
-    def _supervise_one(self, key: str, spec: JobSpec) -> _Settled:
-        """All attempts of one spec: journal, retry, quarantine input."""
+    def _store(self, spec: JobSpec, payload: _WorkerOut) -> None:
+        if self.cache is None:
+            return
+        report_pickle, wallclock, events, xml_text = payload
+        self.cache.store(
+            spec, report_pickle, wallclock, events, xml_text=xml_text
+        )
+
+    def _supervise_one(self, key: str, spec: JobSpec, inline: bool) -> _Settled:
+        """All attempts of one spec: journal, retry, cache, one finish."""
         want_xml = self.cache is not None
         if self.journal is not None:
             self.journal.record(key, "start")
@@ -650,23 +558,18 @@ class SweepRunner:
 
         def one_attempt() -> _Outcome:
             attempts[0] += 1
+            if inline:
+                return self._attempt_inline(spec, key, want_xml)
             return self._attempt(spec, key, want_xml)
 
-        rng = None
-        if self.retry_jitter > 0:
-            # deterministic per-spec jitter stream: same sweep, same
-            # spec, same backoff schedule — never the stdlib `random`.
-            rng = RngStreams(int(key[:8], 16)).get("sweep.retry")
         try:
             outcome = retry_with_backoff(
                 None,
                 one_attempt,
                 attempts=self.retries + 1,
-                base_delay=self.retry_backoff,
+                base_delay=RETRY_BACKOFF,
                 factor=2.0,
                 is_retryable=lambda o: o.status in RETRYABLE_STATUSES,
-                jitter=self.retry_jitter,
-                rng=rng,
             )
         except RetriesExhausted as exc:
             outcome = exc.last_result
@@ -674,25 +577,28 @@ class SweepRunner:
             self.journal.record(
                 key, outcome.status, attempt=attempts[0], error=outcome.error
             )
+        ok = outcome.status == "ok"
+        if ok:
+            self._store(spec, outcome.payload)
         self._notify(_events.spec_finish(
             key,
             outcome.status,
             attempts=attempts[0],
-            wallclock=outcome.payload[1] if outcome.payload else None,
+            wallclock=outcome.payload[1] if ok else None,
             error=outcome.error,
         ))
-        if outcome.status == "ok":
-            self._store(spec, outcome.payload)
-            return _Settled(outcome.payload, False, attempts=attempts[0])
         return _Settled(
-            _EMPTY_OUT, False,
+            outcome.payload if ok else _EMPTY_OUT, False,
             status=outcome.status, error=outcome.error, attempts=attempts[0],
+            inline=outcome.inline,
         )
 
     def _attempt(self, spec: JobSpec, key: str, want_xml: bool) -> _Outcome:
-        """One attempt, contained.  Never raises."""
-        if self.mode == "serial":
-            return self._attempt_inline(spec, key, want_xml)
+        """One attempt on a warm worker, contained.
+
+        Raises only in ``mode="process"`` when the pool cannot be used;
+        ``mode="auto"`` degrades to an inline attempt instead.
+        """
         try:
             return self._attempt_warm(spec, key, want_xml)
         except (OSError, WorkerPoolBroken):
@@ -716,9 +622,10 @@ class SweepRunner:
             )
         except Exception as exc:
             return _Outcome(
-                classify_error(exc), None, f"{type(exc).__name__}: {exc}"
+                classify_error(exc), None, f"{type(exc).__name__}: {exc}",
+                inline=True,
             )
-        return _Outcome("ok", payload)
+        return _Outcome("ok", payload, inline=True)
 
     def _attempt_warm(
         self, spec: JobSpec, key: str, want_xml: bool
@@ -731,13 +638,13 @@ class SweepRunner:
         """
         if self._tearing_down:
             return _Outcome("crashed", None, "worker pool torn down")
-        pool = self._ensure_pool(self.workers)
+        pool = self._ensure_pool(1)
         worker = pool.checkout()
         healthy = False
         try:
             worker.conn.send(
-                [(key, spec.to_json(), want_xml, self.liveness,
-                  self._fleet_item(key))]
+                (key, spec.to_json(), want_xml, self.liveness,
+                 self._fleet_item(key))
             )
             # poll(None) blocks until a message arrives or the worker
             # dies (EOF also makes the pipe readable).

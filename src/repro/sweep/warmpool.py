@@ -1,26 +1,22 @@
 """Persistent warm workers for the sweep runner.
 
-The historical runner paid a full child start-up per parallel batch
-(``ProcessPoolExecutor``) or — supervised — per *attempt* (one forked
-child per spec try).  For the paper's sweeps, where one spec simulates
-in tens of milliseconds, process start-up dominated wall-clock.
+Forking a fresh child per spec attempt pays a full process start-up
+each time; for the paper's sweeps, where one spec simulates in tens
+of milliseconds, start-up would dominate wall-clock.
 
 A :class:`WarmWorkerPool` keeps long-lived child processes around
 instead: each worker imports the simulation stack **once**, then
-serves batches of specs over its pipe until told to stop.  The parent
-distributes work as ``(tag, spec_json, want_xml, liveness, fleet)``
-tuples and reads back ``(tag, status, payload, error)`` messages — the same
-per-attempt protocol the supervised runner's one-shot children spoke,
-so supervision (timeout kill, crash containment, journal, resume)
-composes unchanged on top.
+serves specs over its pipe until told to stop.  The runner borrows a
+worker per attempt (:meth:`~WarmWorkerPool.checkout`), sends one
+``(tag, spec_json, want_xml, liveness, fleet)`` tuple and reads back
+one ``(tag, status, payload, error)`` message, so timeout kill and
+crash containment act on exactly one spec.
 
 Lifecycle rules, all pinned by tests:
 
-* a worker that dies mid-batch breaks the pool (unsupervised callers
-  fall back to serial execution with byte-identical results);
-* a supervised caller can :meth:`discard` a hung worker — it is
-  killed and a fresh one spawned in its place, so one bad spec never
-  shrinks the pool;
+* a worker that dies or hangs mid-attempt is :meth:`discard`-ed — it
+  is killed and a fresh one spawned in its place, so one bad spec
+  never shrinks the pool;
 * :meth:`terminate` (also run via ``weakref.finalize`` when the owner
   is collected, and on KeyboardInterrupt) kills every child; workers
   additionally self-exit on pipe EOF, so even a SIGKILLed parent
@@ -31,10 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as _queue
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-#: one unit of work: (tag, spec_json, want_xml, liveness, fleet).
-WorkItem = Tuple[Any, str, bool, Any, Any]
+from typing import Any, List, Optional, Tuple
 
 #: one finished unit: (tag, status, payload, error).
 ItemResult = Tuple[Any, str, Optional[tuple], Optional[str]]
@@ -45,42 +38,41 @@ class WorkerPoolBroken(RuntimeError):
 
 
 def _serve(conn) -> None:
-    """Child-process loop: execute batches until EOF or the sentinel.
+    """Child-process loop: execute work items until EOF or the sentinel.
 
     ``execute_spec_json`` is looked up through the runner module *per
     item* — late binding keeps a parent-side monkeypatch (inherited at
     fork time) effective, which the worker-death containment tests
-    rely on.  BaseException containment mirrors the one-shot child:
-    a failing attempt must report a status, never kill the pipe
-    silently.
+    rely on.  BaseException is contained: a failing attempt must
+    report a status, never kill the pipe silently.
     """
     from repro.errors import classify_error
     from repro.sweep import runner as runner_mod
 
     while True:
         try:
-            batch = conn.recv()
+            item = conn.recv()
         except (EOFError, OSError):
             break  # parent died or hung up: self-terminate
-        if batch is None:
+        if item is None:
             break
-        for tag, spec_json, want_xml, liveness, fleet in batch:
-            try:
-                payload = runner_mod.execute_spec_json(
-                    spec_json, want_xml, liveness=liveness, fleet=fleet
-                )
-                msg: ItemResult = (tag, "ok", payload, None)
-            except BaseException as exc:  # noqa: BLE001 - containment
-                msg = (
-                    tag,
-                    classify_error(exc),
-                    None,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):
-                return
+        tag, spec_json, want_xml, liveness, fleet = item
+        try:
+            payload = runner_mod.execute_spec_json(
+                spec_json, want_xml, liveness=liveness, fleet=fleet
+            )
+            msg: ItemResult = (tag, "ok", payload, None)
+        except BaseException as exc:  # noqa: BLE001 - containment
+            msg = (
+                tag,
+                classify_error(exc),
+                None,
+                f"{type(exc).__name__}: {exc}",
+            )
+        try:
+            conn.send(msg)
+        except (BrokenPipeError, OSError):
+            return
     try:
         conn.close()
     except OSError:  # pragma: no cover - nothing left to do
@@ -161,7 +153,7 @@ class WarmWorkerPool:
         while len(self.workers) < target and not self.closed:
             self._spawn()
 
-    # -- supervised check-out protocol ---------------------------------
+    # -- check-out protocol ---------------------------------------------
 
     def checkout(self) -> WarmWorker:
         """Borrow an idle worker (blocks until one frees up)."""
@@ -186,7 +178,7 @@ class WarmWorkerPool:
     def discard(self, worker: WarmWorker) -> None:
         """Kill a hung/dead worker and replace it with a fresh one.
 
-        The pool keeps its size so concurrent supervision threads never
+        The pool keeps its size so concurrent attempt threads never
         starve; if the replacement cannot be spawned (fork limits) the
         pool shrinks and, once empty, closes.
         """
@@ -202,52 +194,6 @@ class WarmWorkerPool:
         except OSError:
             if not self.workers:
                 self.closed = True
-
-    # -- batch fan-out (unsupervised path) -----------------------------
-
-    def run_batch(self, items: Sequence[WorkItem]) -> Dict[Any, ItemResult]:
-        """Scatter ``items`` round-robin, gather every result.
-
-        Any failure — a worker dying mid-batch, an interrupt — tears
-        the whole pool down before propagating, so the caller can fall
-        back serially (or unwind) without leaving children running.
-        """
-        from multiprocessing.connection import wait as _wait
-
-        if self.closed:
-            raise WorkerPoolBroken("worker pool is closed")
-        n = len(self.workers)
-        borrowed = [self.checkout() for _ in range(n)]
-        pending: Dict[WarmWorker, int] = {}
-        results: Dict[Any, ItemResult] = {}
-        try:
-            for i, worker in enumerate(borrowed):
-                batch = list(items[i::n])
-                if batch:
-                    worker.conn.send(batch)
-                    pending[worker] = len(batch)
-            while pending:
-                by_conn = {w.conn: w for w in pending}
-                for conn in _wait(list(by_conn)):
-                    worker = by_conn[conn]
-                    try:
-                        tag, status, payload, error = conn.recv()
-                    except (EOFError, OSError):
-                        worker.proc.join(5.0)
-                        raise WorkerPoolBroken(
-                            f"warm worker died mid-batch "
-                            f"(exit code {worker.proc.exitcode})"
-                        ) from None
-                    results[tag] = (tag, status, payload, error)
-                    pending[worker] -= 1
-                    if not pending[worker]:
-                        del pending[worker]
-        except BaseException:
-            self.terminate()
-            raise
-        for worker in borrowed:
-            self.checkin(worker)
-        return results
 
     # -- teardown -------------------------------------------------------
 

@@ -105,6 +105,32 @@ class TestIngestServer:
         finally:
             server.stop()
 
+    def test_unparseable_end_record_is_acked_and_the_connection_survives(
+        self
+    ):
+        """A ``job_end`` whose wallclock is not a number is refused (and
+        still acked); the good end record after it folds."""
+        store = FleetStore()
+        server = IngestServer(store).start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as s:
+                s.sendall(encode_record(hello_record("p", True)))
+                s.sendall(encode_record({
+                    "kind": "job_end", "job": "j1", "pub": "p", "seq": 0,
+                    "wallclock": "abc",
+                }))
+                s.sendall(encode_record({
+                    "kind": "job_end", "job": "j1", "pub": "p", "seq": 1,
+                    "wallclock": 1.5,
+                }))
+                acks = s.makefile("rb")
+                assert [decode_line(acks.readline())["seq"]
+                        for _ in range(2)] == [0, 1]
+            assert store.dropped == 1
+            assert store.registry.job("j1").wallclock == 1.5
+        finally:
+            server.stop()
+
     def test_connection_count_tracks_publishers(self):
         store = FleetStore()
         server = IngestServer(store).start()

@@ -95,7 +95,7 @@ class TestAggregatorLifecycle:
             }) + "\n",
             encoding="utf-8",
         )
-        with FleetAggregator(tail_interval=0.02) as agg:
+        with FleetAggregator() as agg:
             agg.add_tail(str(path))
             assert wait_until(lambda: agg.store.samples == 1)
             assert agg.store.dropped == 1
@@ -103,7 +103,7 @@ class TestAggregatorLifecycle:
     def test_tail_loop_follows_a_growing_file(self, tmp_path):
         path = tmp_path / "live.jsonl"
         path.write_text("", encoding="utf-8")
-        with FleetAggregator(tails=[str(path)], tail_interval=0.02) as agg:
+        with FleetAggregator(tails=[str(path)]) as agg:
             line = json.dumps({
                 "kind": "sample", "t": 0.1,
                 "points": [{"name": "m", "labels": {}, "value": 1.0}],
@@ -139,12 +139,6 @@ class TestAggregatorLifecycle:
         agg.stop()
         agg.stop()
 
-    def test_prebuilt_store_and_kwargs_conflict(self):
-        from repro.fleet.store import FleetStore
-
-        with pytest.raises(ValueError):
-            FleetAggregator(store=FleetStore(), resolution=0.1)
-
     def test_add_tail_while_running(self, tmp_path):
         path = tmp_path / "late.jsonl"
         line = json.dumps({
@@ -152,7 +146,7 @@ class TestAggregatorLifecycle:
             "points": [{"name": "m", "labels": {}, "value": 2.0}],
         })
         path.write_text(line + "\n", encoding="utf-8")
-        with FleetAggregator(tail_interval=0.02) as agg:
+        with FleetAggregator() as agg:
             agg.add_tail(str(path), job="late")
             assert wait_until(lambda: agg.store.samples == 1)
 

@@ -98,6 +98,22 @@ class TestIngest:
         assert store.samples == 0
         assert store.registry.job("j1") is None
 
+    @pytest.mark.parametrize("line", [
+        '{"kind": "job_end", "job": "a", "wallclock": "abc"}',
+        '{"kind": "spec_finish", "job": "a", "status": "ok",'
+        ' "attempts": "x"}',
+        '{"kind": "job_end", "job": "a", "wallclock": 1' + "0" * 400 + '}',
+    ], ids=["text-wallclock", "text-attempts", "huge-int-wallclock"])
+    def test_unparseable_end_record_is_refused_before_any_state_change(
+        self, store, line
+    ):
+        store.ingest({"kind": "job_start", "job": "a"})
+        assert store.ingest_status(decode_line(line)) == "refused"
+        assert store.dropped == 1
+        record = store.registry.job("a")
+        assert record.state == "running"
+        assert record.wallclock is None and record.attempts is None
+
     def test_malformed_points_are_skipped_not_fatal(self, store):
         assert store.ingest({
             "kind": "sample", "job": "j1", "t": 0.0,

@@ -178,6 +178,23 @@ class TestCliSupervisedSweep:
         assert [r["status"] for r in summary["results"]] == \
             ["ok", "crashed"]
 
+    def test_default_flags_report_failures_as_statuses(self, tmp_path,
+                                                       capsys):
+        """No supervision flag: a crashing spec is a status, not a
+        traceback, and the other specs' results survive."""
+        specs = _write_specs(tmp_path, [
+            self._canary("ok", seed=1), self._canary("crash", seed=2),
+            self._canary("deadlock", seed=3),
+        ])
+        out = tmp_path / "summary.json"
+        assert main(["sweep", specs, "--out", str(out)]) == \
+            EXIT_SPEC_FAILURES
+        printed = capsys.readouterr().out
+        assert printed.count("[crashed]") == 1
+        summary = json.loads(out.read_text())
+        assert [r["status"] for r in summary["results"]] == \
+            ["ok", "crashed", "deadlock"]
+
     def test_watchdog_flags_catch_livelock(self, tmp_path, capsys):
         specs = _write_specs(tmp_path, [self._canary("spin")])
         code = main(["sweep", specs, "--workers", "2", "--timeout", "30",

@@ -173,9 +173,14 @@ class TestRunnerFleetStreaming:
             assert totals["publishers"] == 2
             assert totals["duplicates"] == 0
 
-    def test_fleet_does_not_flip_supervised_mode(self):
-        runner = SweepRunner(fleet="127.0.0.1:9")
-        assert not runner.supervised
+    def test_fleet_does_not_change_placement(self):
+        plain = SweepRunner(workers=2).run(SPECS)
+        with FleetAggregator() as agg:
+            with SweepRunner(workers=2,
+                             fleet=agg.ingest_address) as runner:
+                streamed = runner.run(SPECS)
+        assert streamed.mode == plain.mode == "process"
+        assert streamed.wallclocks() == plain.wallclocks()
 
     def test_unreachable_aggregator_does_not_fail_the_sweep(self):
         with pytest.warns(RuntimeWarning, match="degraded"):

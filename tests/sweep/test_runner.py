@@ -56,25 +56,27 @@ class TestRunSemantics:
         assert len({r.report_pickle for r in report}) == 1
 
     def test_serial_fallback_when_the_pool_dies(self, monkeypatch):
-        runner = SweepRunner(workers=2, mode="auto")
+        from repro.sweep.warmpool import WarmWorkerPool, WorkerPoolBroken
 
-        def boom(*a, **kw):
-            raise OSError("no forks today")
+        def dead(self):
+            raise WorkerPoolBroken("worker pool is closed")
 
-        monkeypatch.setattr(runner, "_run_pool", boom)
+        monkeypatch.setattr(WarmWorkerPool, "checkout", dead)
         serial = SweepRunner(mode="serial").run(SPECS)
-        fallen = runner.run(SPECS)
+        with SweepRunner(workers=2, mode="auto") as runner:
+            fallen = runner.run(SPECS)
         assert fallen.mode == "serial"
         assert _pickles(fallen) == _pickles(serial)
 
     def test_mode_process_propagates_pool_failures(self, monkeypatch):
-        runner = SweepRunner(workers=2, mode="process")
+        import repro.sweep.runner as runner_mod
+
         monkeypatch.setattr(
-            runner, "_run_pool",
+            runner_mod, "WarmWorkerPool",
             lambda *a, **kw: (_ for _ in ()).throw(OSError("boom")),
         )
         with pytest.raises(OSError):
-            runner.run(SPECS)
+            SweepRunner(workers=2, mode="process").run(SPECS)
 
     def test_single_spec_runs_serially(self):
         report = SweepRunner(workers=4, mode="auto").run(SPECS[:1])
@@ -88,6 +90,28 @@ class TestRunSemantics:
         assert report[0].report_pickle == b""
         assert report.reports() == []
         assert report[0].wallclock > 0
+
+
+def canary(mode, seed):
+    return JobSpec(app="canary", ntasks=2, seed=seed,
+                   app_params={"mode": mode, "work": 1e-3})
+
+
+class TestFailuresAreStatuses:
+    @pytest.mark.parametrize("knobs", [
+        {"mode": "serial"}, {"workers": 2, "mode": "auto"},
+    ], ids=["serial", "auto-2-workers"])
+    def test_default_knob_sweep_reports_statuses(self, knobs):
+        """A failing spec never raises out of run(), supervised or not."""
+        specs = [canary("ok", 1), canary("crash", 2),
+                 canary("deadlock", 3)]
+        with SweepRunner(**knobs) as runner:
+            report = runner.run(specs)
+        assert [r.status for r in report] == ["ok", "crashed", "deadlock"]
+        assert report[0].wallclock > 0
+        assert "canary: planned crash" in report[1].error
+        assert report.mode == ("serial" if knobs["mode"] == "serial"
+                               else "process")
 
 
 class TestValidation:

@@ -15,9 +15,9 @@ from repro import (
     JobSpec,
     LivenessLimits,
     ResultCache,
-    SweepJournal,
     SweepRunner,
 )
+from repro.errors import WorkerCrashed
 
 #: cheap monitored jobs for byte-identity checks.
 SPECS = [
@@ -50,7 +50,7 @@ class TestAcceptance:
         statuses = [r.status for r in report]
         assert statuses == ["ok", "crashed", "timeout", "deadlock",
                             "livelock"]
-        assert report.mode == "supervised"
+        assert report.mode == "process"  # a timeout needs a killable worker
         assert not report.ok
         assert report.errors_total == 4
         assert report.status_counts() == {
@@ -122,51 +122,45 @@ class TestQuarantine:
 class TestRetries:
     def test_deterministic_failures_retry_and_settle(self, tmp_path):
         """A crash is retryable; a deterministic crash consumes attempts."""
-        journal = SweepJournal(str(tmp_path / "j.jsonl"))
-        runner = SweepRunner(workers=1, retries=2, retry_backoff=0.01,
-                             journal=journal)
+        runner = SweepRunner(workers=1, retries=2, resume=True,
+                             cache=ResultCache(str(tmp_path)))
         result = runner.run([canary("crash")])[0]
         assert result.status == "crashed"
         assert result.attempts == 3  # 1 + 2 retries
-        entry = journal.replay()[result.spec_hash]
+        entry = runner.journal.replay()[result.spec_hash]
         assert entry.status == "crashed"
 
     def test_deadlock_is_not_retried(self):
-        runner = SweepRunner(workers=1, retries=3, retry_backoff=0.01)
+        runner = SweepRunner(workers=1, retries=3)
         result = runner.run([canary("deadlock")])[0]
         assert result.status == "deadlock"
         assert result.attempts == 1
 
     def test_ok_spec_uses_one_attempt(self):
-        runner = SweepRunner(workers=1, retries=3, retry_backoff=0.01)
+        runner = SweepRunner(workers=1, retries=3)
         result = runner.run([canary("ok")])[0]
         assert result.status == "ok"
         assert result.attempts == 1
 
-    def test_retry_jitter_demands_no_stdlib_random(self, monkeypatch):
-        """Jittered retries must never consult the stdlib ``random``."""
-        import random
-
-        def forbidden(*a, **kw):  # pragma: no cover - failure path
-            raise AssertionError("stdlib random consulted")
-
-        monkeypatch.setattr(random, "random", forbidden)
-        monkeypatch.setattr(random, "uniform", forbidden)
-        runner = SweepRunner(workers=1, retries=2, retry_backoff=0.01,
-                             retry_jitter=0.5)
-        result = runner.run([canary("crash")])[0]
-        assert result.status == "crashed"
-        assert result.attempts == 3
-
 
 class TestByteIdentityUnderSupervision:
-    def test_default_knobs_keep_the_unsupervised_path(self):
-        runner = SweepRunner(workers=2)
-        assert runner.supervised is False
-        assert any(SweepRunner(**kw).supervised for kw in (
-            {"timeout": 1.0}, {"retries": 1}, {"resume": True,
-             "journal": SweepJournal("unused.jsonl")},
-        ))
+    @pytest.mark.parametrize("knobs, mode", [
+        ({"workers": 2}, "process"),
+        ({"workers": 2, "retries": 1}, "process"),
+        ({"workers": 1}, "serial"),
+        ({"workers": 1, "retries": 1}, "serial"),
+        ({"workers": 1, "timeout": 60.0}, "process"),
+        ({"workers": 2, "timeout": 60.0, "mode": "serial"}, "serial"),
+    ], ids=["default", "retries", "one-worker", "one-worker-retries",
+            "one-worker-timeout", "serial-timeout"])
+    def test_where_attempts_run(self, knobs, mode):
+        """Inline unless a worker is needed (timeout) or useful (>1)."""
+        serial = SweepRunner(mode="serial").run(SPECS)
+        with SweepRunner(**knobs) as runner:
+            report = runner.run(SPECS)
+        assert report.mode == mode
+        assert _pickles(report) == _pickles(serial)
+        assert report.wallclocks() == serial.wallclocks()
 
     def test_robustness_off_matches_serial_byte_for_byte(self):
         """Supervision off => byte-identical to the historical runner."""
@@ -179,22 +173,22 @@ class TestByteIdentityUnderSupervision:
         """Child-process containment must not perturb the results."""
         serial = SweepRunner(mode="serial").run(SPECS)
         supervised = SweepRunner(workers=2, timeout=60.0).run(SPECS)
-        assert supervised.mode == "supervised"
+        assert supervised.mode == "process"
         assert _pickles(supervised) == _pickles(serial)
         assert supervised.wallclocks() == serial.wallclocks()
 
     def test_supervised_serial_mode(self):
         serial = SweepRunner(mode="serial").run(SPECS)
         sup = SweepRunner(mode="serial", retries=1).run(SPECS)
-        assert sup.mode == "supervised-serial"
+        assert sup.mode == "serial"
         assert _pickles(sup) == _pickles(serial)
 
 
 class TestWorkerDeathContainment:
-    def test_mid_sweep_worker_death_falls_back_byte_identically(
-        self, monkeypatch
-    ):
-        """A worker dying mid-pool must not change the sweep's results."""
+    @staticmethod
+    def _sabotage_first_attempt(monkeypatch, marker):
+        """Kill the warm worker running the victim spec, once: the
+        marker file records that the death already happened."""
         import repro.sweep.runner as runner_mod
 
         parent = os.getpid()
@@ -203,20 +197,46 @@ class TestWorkerDeathContainment:
 
         def sabotaged(spec_json, want_xml, liveness=None, fleet=None):
             spec = JobSpec.from_json(spec_json)
-            if os.getpid() != parent and spec.seed == victim_seed:
+            if (
+                os.getpid() != parent
+                and spec.seed == victim_seed
+                and not os.path.exists(marker)
+            ):
+                open(marker, "w").close()
                 os._exit(137)  # hard death: no exception, no cleanup
             return real(spec_json, want_xml, liveness, fleet)
 
-        # pickle-by-reference must resolve to the sabotaged version in
-        # forked pool workers; fork shares the patched module anyway.
-        sabotaged.__module__ = "repro.sweep.runner"
-        sabotaged.__qualname__ = "execute_spec_json"
+        # forked warm workers inherit the patched module and look the
+        # function up per item, so they run the sabotaged version.
         monkeypatch.setattr(runner_mod, "execute_spec_json", sabotaged)
 
+    def test_mid_sweep_worker_death_falls_back_byte_identically(
+        self, monkeypatch, tmp_path
+    ):
+        """A worker dying mid-sweep must not change the sweep's results:
+        the dead worker is replaced and the retry reproduces the bytes."""
+        self._sabotage_first_attempt(monkeypatch, str(tmp_path / "died"))
         serial = SweepRunner(mode="serial").run(SPECS)
-        fallen = SweepRunner(workers=2, mode="auto").run(SPECS)
-        assert fallen.mode == "serial"  # the pool died, serial finished
+        with SweepRunner(workers=2, mode="auto", retries=1) as runner:
+            fallen = runner.run(SPECS)
+        assert (tmp_path / "died").exists()
+        assert fallen.mode == "process"
+        assert [r.attempts for r in fallen] == [1, 2, 1]
         assert _pickles(fallen) == _pickles(serial)
+        assert fallen.wallclocks() == serial.wallclocks()
+
+    def test_worker_death_without_retries_is_a_crashed_status(
+        self, monkeypatch, tmp_path
+    ):
+        self._sabotage_first_attempt(monkeypatch, str(tmp_path / "died"))
+        serial = SweepRunner(mode="serial").run(SPECS)
+        with SweepRunner(workers=2, mode="auto") as runner:
+            fallen = runner.run(SPECS)
+        assert [r.status for r in fallen] == ["ok", "crashed", "ok"]
+        assert fallen[1].error == str(WorkerCrashed(fallen[1].spec_hash, 137))
+        pickles = _pickles(fallen)
+        assert pickles[0] == _pickles(serial)[0]
+        assert pickles[2] == _pickles(serial)[2]
 
     def test_pool_construction_failure_falls_back(self, monkeypatch):
         """The warm pool itself failing to build degrades cleanly."""
@@ -255,7 +275,6 @@ class TestSupervisionValidation:
     def test_inactive_liveness_does_not_trigger_supervision(self):
         runner = SweepRunner(liveness=LivenessLimits())
         assert runner.liveness is None
-        assert runner.supervised is False
 
 
 #: subprocess body for the SIGINT teardown test: a supervised sweep
